@@ -4,7 +4,7 @@
 // Part 1 is the determinism gate: the full Fig. 2 sweep (every app x scale
 // x tier) runs with the observability plane on and must produce
 // byte-identical RunResult JSON, exported metrics JSONL *and* Chrome trace
-// bytes with TSX_TASK_THREADS in {1, 4, 8} — the sharded data plane
+// bytes with TSX_TASK_THREADS in {1, 4, 8} — the evaluate/commit plane
 // (DESIGN.md §16) must be invisible in every serialized artifact, span ids
 // included. Every run goes through a plain serial run_workload loop — no
 // ParallelRunner (an active sweep would clamp the inner pools through
@@ -187,9 +187,6 @@ int main() {
 
   using spark::PlaneCounters;
   using spark::PlaneStats;
-  int task_shards = 16;
-  if (const char* s = std::getenv("TSX_TASK_SHARDS"))
-    task_shards = std::max(1, std::atoi(s));
 
   TablePrinter table({"app", "serial (s)", "2t (s)", "4t (s)", "8t (s)",
                       "speedup@8", "commit share@8"});
@@ -201,8 +198,7 @@ int main() {
       ",\n      \"host\": {\"hardware_concurrency\": " +
       std::to_string(std::thread::hardware_concurrency()) +
       ", \"git_commit\": \"" + git_commit() +
-      "\", \"task_shards\": " + std::to_string(task_shards) +
-      "},\n      \"workloads\": [\n";
+      "\"},\n      \"workloads\": [\n";
   bool first_row = true;
   for (const App app : kAllApps) {
     RunConfig cfg;
@@ -221,12 +217,10 @@ int main() {
     set_task_threads(1);
     const double speedup8 = parallel.back() > 0.0 ? serial / parallel.back()
                                                   : 0.0;
-    // Contention attribution of the 8-thread cell: how much of the parallel
-    // stages' wall-clock the driver spent in the commit phase, and how much
-    // of that commit phase was just waiting for evaluation to publish.
+    // Attribution of the 8-thread cell: how much of the parallel stages'
+    // wall-clock the driver spent in the serial commit phase.
     const double stage_s = static_cast<double>(delta8.stage_ns) * 1e-9;
     const double commit_s = static_cast<double>(delta8.commit_ns) * 1e-9;
-    const double ready_s = static_cast<double>(delta8.ready_wait_ns) * 1e-9;
     const double commit_share = stage_s > 0.0 ? commit_s / stage_s : 0.0;
     table.add_row({to_string(app), TablePrinter::num(serial, 3),
                    TablePrinter::num(parallel[0], 3),
@@ -240,11 +234,9 @@ int main() {
         "        {\"app\": \"%s\", \"serial_s\": %.6f, \"threads_2_s\": "
         "%.6f, \"threads_4_s\": %.6f, \"threads_8_s\": %.6f, "
         "\"speedup_8\": %.4f, \"stage_s_8\": %.6f, \"commit_s_8\": %.6f, "
-        "\"ready_wait_s_8\": %.6f, \"commit_share_8\": %.4f, "
-        "\"lock_wait_s_8\": %.6f}",
+        "\"commit_share_8\": %.4f}",
         to_string(app).c_str(), serial, parallel[0], parallel[1], parallel[2],
-        speedup8, stage_s, commit_s, ready_s, commit_share,
-        static_cast<double>(delta8.lock_wait_ns) * 1e-9);
+        speedup8, stage_s, commit_s, commit_share);
   }
   entry += "\n      ]";
   table.print(std::cout);
@@ -321,69 +313,8 @@ int main() {
     }
     entry += "}";
   }
-  entry += "\n      ]";
-  atable.print(std::cout);
-
-  // --- Part 5: pipelined vs barrier commit, attributed -------------------
-  // Same workload, same 8 evaluation threads; the only difference is
-  // whether the commit phase overlaps evaluation (DESIGN.md §16). The
-  // PlaneCounters deltas attribute the stage wall-clock: eval (summed task
-  // host time), commit (driver submit + step loop), ready-wait (driver
-  // blocked on unpublished buffers) and stripe-lock traffic.
-  TablePrinter ptable({"mode", "stage (s)", "eval (s)", "commit (s)",
-                       "ready wait (s)", "commit share", "lock acq",
-                       "lock wait (s)", "puts/batch"});
-  entry += ",\n      \"plane\": [\n";
-  bool first_mode = true;
-  for (const bool pipelined : {false, true}) {
-    setenv("TSX_TASK_PIPELINE", pipelined ? "1" : "0", 1);
-    set_task_threads(8);
-    RunConfig cfg;
-    cfg.app = App::kPagerank;
-    cfg.scale = scale;
-    const PlaneCounters before = PlaneStats::global().read();
-    for (int r = 0; r < repeats; ++r) (void)run_workload(cfg);
-    const PlaneCounters d = PlaneStats::global().read() - before;
-    set_task_threads(1);
-    unsetenv("TSX_TASK_PIPELINE");
-
-    const double stage_s = static_cast<double>(d.stage_ns) * 1e-9;
-    const double eval_s = static_cast<double>(d.eval_ns) * 1e-9;
-    const double commit_s = static_cast<double>(d.commit_ns) * 1e-9;
-    const double ready_s = static_cast<double>(d.ready_wait_ns) * 1e-9;
-    const double lock_s = static_cast<double>(d.lock_wait_ns) * 1e-9;
-    const double share = stage_s > 0.0 ? commit_s / stage_s : 0.0;
-    const double puts_per_batch =
-        d.shuffle_put_batches > 0
-            ? static_cast<double>(d.shuffle_puts) /
-                  static_cast<double>(d.shuffle_put_batches)
-            : 0.0;
-    const char* mode = pipelined ? "pipelined" : "barrier";
-    ptable.add_row({mode, TablePrinter::num(stage_s, 4),
-                    TablePrinter::num(eval_s, 4),
-                    TablePrinter::num(commit_s, 4),
-                    TablePrinter::num(ready_s, 4),
-                    TablePrinter::num(share * 100.0, 1) + "%",
-                    std::to_string(d.lock_acquisitions),
-                    TablePrinter::num(lock_s, 4),
-                    TablePrinter::num(puts_per_batch, 2)});
-    if (!first_mode) entry += ",\n";
-    first_mode = false;
-    entry += strfmt(
-        "        {\"mode\": \"%s\", \"app\": \"pagerank\", \"threads\": 8, "
-        "\"stage_s\": %.6f, \"eval_s\": %.6f, \"commit_s\": %.6f, "
-        "\"ready_wait_s\": %.6f, \"commit_share\": %.4f, "
-        "\"lock_acquisitions\": %llu, \"lock_contended\": %llu, "
-        "\"lock_wait_s\": %.6f, \"shuffle_puts\": %llu, "
-        "\"shuffle_put_batches\": %llu}",
-        mode, stage_s, eval_s, commit_s, ready_s, share,
-        static_cast<unsigned long long>(d.lock_acquisitions),
-        static_cast<unsigned long long>(d.lock_contended), lock_s,
-        static_cast<unsigned long long>(d.shuffle_puts),
-        static_cast<unsigned long long>(d.shuffle_put_batches));
-  }
   entry += "\n      ]\n    }";
-  ptable.print(std::cout);
+  atable.print(std::cout);
 
   const std::string prior = prior_history_entries("BENCH_perf.json");
   std::string json = "{\n  \"bench\": \"perf\",\n  \"history\": [\n";

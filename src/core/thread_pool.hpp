@@ -13,15 +13,11 @@
 // microsecond-scale task hosts) would otherwise pay one deque lock per task.
 // The grain heuristic splits each worker's slice into a handful of ranges,
 // so dispatch cost amortizes over the grain while stealing still rebalances
-// skew at range granularity. Ranges are seeded so owners consume their slice
-// in ascending index order — the pipelined commit phase (DESIGN.md §16)
-// waits on task results in exactly that order.
+// skew at range granularity.
 //
 // The pool is persistent: workers are spawned once and parked between
 // batches, so repeated batches (one per sweep, or one per stage) pay no
-// thread start-up cost. `run_batch` is the blocking composite of
-// `launch_batch` + `wait_batch`; the split exists for the scheduler's
-// pipelined plane, which overlaps the batch with driver-side work.
+// thread start-up cost.
 #pragma once
 
 #include <atomic>
@@ -56,21 +52,6 @@ class ThreadPool {
   void run_batch(std::size_t count,
                  const std::function<void(std::size_t)>& task);
 
-  /// Starts a batch and returns immediately; the pool owns a copy of `task`
-  /// until the matching wait_batch(). At most one batch may be in flight.
-  void launch_batch(std::size_t count, std::function<void(std::size_t)> task);
-
-  /// Blocks until the launched batch drains (quiescence barrier: every
-  /// worker has parked), then rethrows the first task exception if any.
-  /// No-op when no batch is in flight.
-  void wait_batch();
-
-  /// True once any task of the in-flight batch has thrown. Cheap enough to
-  /// poll from a spin loop; wait_batch() still owns the rethrow.
-  bool batch_failed() const {
-    return failed_.load(std::memory_order_acquire);
-  }
-
  private:
   /// A contiguous claim of batch indices [lo, hi).
   struct Range {
@@ -96,20 +77,17 @@ class ThreadPool {
   std::mutex batch_mutex_;
   std::condition_variable batch_start_;
   std::condition_variable batch_done_;
-  /// The pool's own copy of the batch task: launch_batch returns before the
-  /// batch drains, so the caller's callable may die while workers run.
-  std::function<void(std::size_t)> task_;
+  /// The running batch's task (the caller's, alive until run_batch returns).
+  const std::function<void(std::size_t)>* task_ = nullptr;
   std::uint64_t generation_ = 0;
   std::size_t remaining_ = 0;  ///< indices not yet executed
   std::size_t busy_ = 0;       ///< workers currently inside the batch
   std::exception_ptr first_error_;
   bool stop_ = false;
-  bool active_ = false;  ///< a launch_batch awaits its wait_batch
 
   /// Indices not yet claimed from any deque — lets a worker whose own deque
   /// drained skip the victim scan (and park) without taking any lock.
   alignas(64) std::atomic<std::size_t> unclaimed_{0};
-  alignas(64) std::atomic<bool> failed_{false};
 };
 
 }  // namespace tsx

@@ -17,9 +17,9 @@
 #include <functional>
 #include <vector>
 
+#include "core/thread_pool.hpp"
 #include "runner/result_cache.hpp"
 #include "runner/sweep.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace tsx::runner {
 

@@ -1,48 +1,23 @@
 #include "spark/block_manager.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "core/error.hpp"
-#include "spark/plane_stats.hpp"
 #include "spark/task_effects.hpp"
 
 namespace tsx::spark {
 
 BlockManager::BlockManager(mem::TieredAllocator& allocator, Bytes budget,
-                           mem::NodeId node, int shards)
-    : allocator_(allocator),
-      budget_(budget),
-      node_(node),
-      shards_(static_cast<std::size_t>(std::max(1, shards))) {}
+                           mem::NodeId node)
+    : allocator_(allocator), budget_(budget), node_(node) {}
 
 BlockManager::~BlockManager() { clear(); }
 
-void BlockManager::begin_pipelined_stage() {
-  TSX_CHECK(!pipeline_active_, "pipelined stage already open");
-  pipeline_active_ = true;
-}
-
-void BlockManager::end_pipelined_stage() {
-  pipeline_active_ = false;
-  for (Shard& shard : shards_) shard.mutated.clear();
-}
-
 bool BlockManager::has(const BlockKey& key) const {
-  if (const TaskEffects* fx = TaskEffects::current()) {
+  if (const TaskEffects* fx = TaskEffects::current())
     if (fx->has_block(key)) return true;
-    const Shard& shard = shard_for(key);
-    if (pipeline_active_) {
-      StripeLockGuard lock(shard.mutex);
-      TSX_CHECK(shard.mutated.count(key) == 0,
-                "pipelined task read a block an earlier commit mutated");
-      return shard.blocks.count(key) > 0;
-    }
-    return shard.blocks.count(key) > 0;
-  }
-  return shard_for(key).blocks.count(key) > 0;
+  return blocks_.count(key) > 0;
 }
 
 const std::any* BlockManager::get(const BlockKey& key) {
@@ -52,24 +27,11 @@ const std::any* BlockManager::get(const BlockKey& key) {
     // (and all its bookkeeping) replays in commit order.
     fx->record_block_get(this, key);
     if (const std::any* own = fx->find_block(key)) return own;
-    const Shard& shard = shard_for(key);
-    if (pipeline_active_) {
-      StripeLockGuard lock(shard.mutex);
-      TSX_CHECK(shard.mutated.count(key) == 0,
-                "pipelined task read a block an earlier commit mutated");
-      const auto it = shard.blocks.find(key);
-      if (it == shard.blocks.end()) return nullptr;
-      // The driver may evict this block (dropping the store's reference)
-      // while the task still reads through the pointer; pin it to the task.
-      fx->retain(it->second.data);
-      return it->second.data.get();
-    }
-    const auto it = shard.blocks.find(key);
-    return it == shard.blocks.end() ? nullptr : it->second.data.get();
+    const auto it = blocks_.find(key);
+    return it == blocks_.end() ? nullptr : it->second.data.get();
   }
-  Shard& shard = shard_for(key);
-  const auto it = shard.blocks.find(key);
-  if (it == shard.blocks.end()) {
+  const auto it = blocks_.find(key);
+  if (it == blocks_.end()) {
     ++misses_;
     return nullptr;
   }
@@ -83,21 +45,10 @@ const std::any* BlockManager::get(const BlockKey& key) {
 }
 
 Bytes BlockManager::size_of(const BlockKey& key) const {
-  if (const TaskEffects* fx = TaskEffects::current()) {
+  if (const TaskEffects* fx = TaskEffects::current())
     if (fx->has_block(key)) return fx->block_size(key);
-    const Shard& shard = shard_for(key);
-    if (pipeline_active_) {
-      StripeLockGuard lock(shard.mutex);
-      TSX_CHECK(shard.mutated.count(key) == 0,
-                "pipelined task read a block an earlier commit mutated");
-      const auto it = shard.blocks.find(key);
-      TSX_CHECK(it != shard.blocks.end(), "size_of unknown block");
-      return it->second.size;
-    }
-  }
-  const Shard& shard = shard_for(key);
-  const auto it = shard.blocks.find(key);
-  TSX_CHECK(it != shard.blocks.end(), "size_of unknown block");
+  const auto it = blocks_.find(key);
+  TSX_CHECK(it != blocks_.end(), "size_of unknown block");
   return it->second.size;
 }
 
@@ -129,16 +80,8 @@ bool BlockManager::put_shared(const BlockKey& key,
 
   const mem::AllocationId alloc = allocator_.allocate(node_, size);
   lru_.push_front(key);
-  Shard& shard = shard_for(key);
-  if (pipeline_active_) {
-    StripeLockGuard lock(shard.mutex);
-    shard.blocks.emplace(
-        key, Block{std::move(data), size, alloc, lru_.begin(), owner});
-    mark_mutated(shard, key);
-  } else {
-    shard.blocks.emplace(
-        key, Block{std::move(data), size, alloc, lru_.begin(), owner});
-  }
+  blocks_.emplace(key,
+                  Block{std::move(data), size, alloc, lru_.begin(), owner});
   bytes_cached_ += size;
   if (tiering_ != nullptr) {
     const RegionId region = cache_region(key.rdd_id, key.partition);
@@ -150,55 +93,46 @@ bool BlockManager::put_shared(const BlockKey& key,
 }
 
 void BlockManager::drop(const BlockKey& key) {
-  Shard& shard = shard_for(key);
-  const auto it = shard.blocks.find(key);
-  if (it == shard.blocks.end()) return;
+  const auto it = blocks_.find(key);
+  if (it == blocks_.end()) return;
   allocator_.free(it->second.allocation);
   bytes_cached_ -= it->second.size;
   lru_.erase(it->second.lru_pos);
-  if (pipeline_active_) {
-    StripeLockGuard lock(shard.mutex);
-    shard.blocks.erase(it);
-    mark_mutated(shard, key);
-  } else {
-    shard.blocks.erase(it);
-  }
+  blocks_.erase(it);
   if (tiering_ != nullptr)
     tiering_->on_region_drop(StreamClass::kCache,
                              cache_region(key.rdd_id, key.partition));
 }
 
 void BlockManager::clear() {
-  // Drop in global ascending key order — the iteration order of the
-  // pre-sharding single map, which the tiering observer's event stream
-  // (and thus the identity gate) depends on.
-  std::vector<BlockKey> victims;
-  for (const Shard& shard : shards_)
-    for (const auto& [key, block] : shard.blocks) victims.push_back(key);
-  std::sort(victims.begin(), victims.end());
-  for (const BlockKey& key : victims) drop(key);
+  // Ascending key order: the tiering observer's event stream (and thus
+  // the identity gate) depends on it.
+  while (!blocks_.empty()) {
+    const BlockKey key = blocks_.begin()->first;
+    drop(key);
+  }
 }
 
 bool BlockManager::drop_lru() {
   if (lru_.empty()) return false;
-  drop(lru_.back());
+  // A copy: drop() erases the list node before its tiering notification.
+  const BlockKey victim = lru_.back();
+  drop(victim);
   return true;
 }
 
 std::size_t BlockManager::drop_owned_by(int executor_id) {
-  std::vector<BlockKey> victims;
-  for (const Shard& shard : shards_)
-    for (const auto& [key, block] : shard.blocks)
-      if (block.owner == executor_id) victims.push_back(key);
-  std::sort(victims.begin(), victims.end());
-  for (const BlockKey& key : victims) drop(key);
-  return victims.size();
-}
-
-std::size_t BlockManager::block_count() const {
-  std::size_t n = 0;
-  for (const Shard& shard : shards_) n += shard.blocks.size();
-  return n;
+  std::size_t lost = 0;
+  for (auto it = blocks_.begin(); it != blocks_.end();) {
+    const BlockKey key = it->first;
+    const bool owned = it->second.owner == executor_id;
+    ++it;  // drop(key) erases only key's node
+    if (owned) {
+      drop(key);
+      ++lost;
+    }
+  }
+  return lost;
 }
 
 void BlockManager::evict_one() {

@@ -6,17 +6,10 @@
 // TieredAllocator). Eviction is LRU, matching Spark's MEMORY_ONLY behaviour
 // of dropping the least recently used blocks when storage is full.
 //
-// The block map is sharded by partition (shard = partition % N, DESIGN.md
-// §16): under the pipelined parallel plane, worker threads read the
-// stage-start snapshot of one shard while the driver commits earlier tasks'
-// puts and evictions into others, so reads and writes touch disjoint
-// cache-line-padded locks. The LRU list, counters and allocator stay
-// driver-only (workers never mutate), and block data is held by shared_ptr
-// so a driver-side eviction cannot free bytes a worker still reads — the
-// worker retains the pointer in its TaskEffects buffer until commit.
-// Sharding is invisible to every observable: iteration-order-sensitive
-// operations (clear, drop_owned_by) materialize the global ascending key
-// order first.
+// Under the parallel data plane (DESIGN.md §11) worker threads only read
+// the map, and only while the driver is blocked on the evaluation batch;
+// every mutation happens on the driver. Block data is held by shared_ptr so
+// a task's overlay and the commit replay share one copy.
 #pragma once
 
 #include <any>
@@ -24,10 +17,7 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <unordered_set>
 #include <utility>
-#include <vector>
 
 #include "core/units.hpp"
 #include "mem/allocator.hpp"
@@ -54,10 +44,9 @@ struct BlockKeyHash {
 class BlockManager {
  public:
   /// `budget` is the engine-level storage budget; `node` the memory node
-  /// all blocks bind to (the executors' membind target); `shards` the
-  /// stripe count of the block map (clamped to >= 1).
+  /// all blocks bind to (the executors' membind target).
   BlockManager(mem::TieredAllocator& allocator, Bytes budget,
-               mem::NodeId node, int shards = 16);
+               mem::NodeId node);
   ~BlockManager();
 
   BlockManager(const BlockManager&) = delete;
@@ -97,23 +86,12 @@ class BlockManager {
   /// Drops everything.
   void clear();
 
-  /// Pipelined-stage window (DESIGN.md §16): between begin and end, worker
-  /// reads take the shard stripe lock, retain block data, and verify the
-  /// key was not mutated by an earlier task's commit this stage — the one
-  /// pattern whose serial/pipelined views could diverge, turned into a
-  /// loud failure instead of a silent one. Driver mutations mark keys and
-  /// lock the stripe they touch. Outside the window every path is lock-free
-  /// and byte-identical to the pre-sharding code.
-  void begin_pipelined_stage();
-  void end_pipelined_stage();
-
   Bytes bytes_cached() const { return bytes_cached_; }
   Bytes budget() const { return budget_; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t evictions() const { return evictions_; }
-  std::size_t block_count() const;
-  std::size_t shard_count() const { return shards_.size(); }
+  std::size_t block_count() const { return blocks_.size(); }
   mem::NodeId node() const { return node_; }
 
   /// Rebinds future blocks to `node` (tier degradation after a node goes
@@ -133,40 +111,18 @@ class BlockManager {
     int owner = -1;  ///< producing executor (-1 outside the scheduler)
   };
 
-  /// One stripe: its own lock line plus the keys the driver mutated during
-  /// the current pipelined stage.
-  struct alignas(64) Shard {
-    mutable std::mutex mutex;
-    std::map<BlockKey, Block> blocks;
-    std::unordered_set<BlockKey, BlockKeyHash> mutated;
-  };
-
-  Shard& shard_for(const BlockKey& key) {
-    return shards_[key.partition % shards_.size()];
-  }
-  const Shard& shard_for(const BlockKey& key) const {
-    return shards_[key.partition % shards_.size()];
-  }
-
-  /// Marks a driver-side mutation of `key` during a pipelined stage; the
-  /// caller must hold the shard lock.
-  void mark_mutated(Shard& shard, const BlockKey& key) {
-    if (pipeline_active_) shard.mutated.insert(key);
-  }
-
   void evict_one();
 
   mem::TieredAllocator& allocator_;
   Bytes budget_;
   mem::NodeId node_;
   Bytes bytes_cached_;
-  std::vector<Shard> shards_;
-  std::list<BlockKey> lru_;  // front = most recently used; driver-only
+  std::map<BlockKey, Block> blocks_;
+  std::list<BlockKey> lru_;  // front = most recently used
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
   TieringHooks* tiering_ = nullptr;
-  bool pipeline_active_ = false;
 };
 
 }  // namespace tsx::spark

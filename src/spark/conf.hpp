@@ -54,17 +54,6 @@ struct SparkConf : PlacementSpec {
   /// cache key. <= 1 keeps the serial data plane; fault mode always does.
   int intra_run_threads = 1;
 
-  /// Lock stripes of the block map and shuffle store (shard = partition %
-  /// N, DESIGN.md §16). Like intra_run_threads, a pure execution-speed
-  /// knob — results are bit-identical for every value — so deliberately
-  /// not part of RunConfig or any cache key. Clamped to >= 1.
-  int state_shards = 16;
-
-  /// Overlap parallel evaluation with the serial commit replay (DESIGN.md
-  /// §16). Off inserts a full barrier between the phases; both settings
-  /// are bit-identical, so this too stays out of RunConfig and cache keys.
-  bool pipelined_commit = true;
-
   /// Fraction of executor memory reserved for storage (cached RDDs).
   double storage_fraction = 0.5;
   /// Executor heap analogue, used for cache-capacity accounting.

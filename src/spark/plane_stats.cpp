@@ -9,10 +9,6 @@ PlaneStats& PlaneStats::global() {
 
 PlaneCounters PlaneStats::read() const {
   PlaneCounters c;
-  c.lock_acquisitions = lock_acquisitions.load(std::memory_order_relaxed);
-  c.lock_contended = lock_contended.load(std::memory_order_relaxed);
-  c.lock_wait_ns = lock_wait_ns.load(std::memory_order_relaxed);
-  c.stages_pipelined = stages_pipelined.load(std::memory_order_relaxed);
   c.stages_barrier = stages_barrier.load(std::memory_order_relaxed);
   c.stages_serial = stages_serial.load(std::memory_order_relaxed);
   c.commit_tasks = commit_tasks.load(std::memory_order_relaxed);
@@ -22,17 +18,12 @@ PlaneCounters PlaneStats::read() const {
   c.shuffle_put_batches =
       shuffle_put_batches.load(std::memory_order_relaxed);
   c.commit_ns = commit_ns.load(std::memory_order_relaxed);
-  c.ready_wait_ns = ready_wait_ns.load(std::memory_order_relaxed);
   c.eval_ns = eval_ns.load(std::memory_order_relaxed);
   c.stage_ns = stage_ns.load(std::memory_order_relaxed);
   return c;
 }
 
 void PlaneStats::reset() {
-  lock_acquisitions.store(0, std::memory_order_relaxed);
-  lock_contended.store(0, std::memory_order_relaxed);
-  lock_wait_ns.store(0, std::memory_order_relaxed);
-  stages_pipelined.store(0, std::memory_order_relaxed);
   stages_barrier.store(0, std::memory_order_relaxed);
   stages_serial.store(0, std::memory_order_relaxed);
   commit_tasks.store(0, std::memory_order_relaxed);
@@ -41,17 +32,12 @@ void PlaneStats::reset() {
   shuffle_puts.store(0, std::memory_order_relaxed);
   shuffle_put_batches.store(0, std::memory_order_relaxed);
   commit_ns.store(0, std::memory_order_relaxed);
-  ready_wait_ns.store(0, std::memory_order_relaxed);
   eval_ns.store(0, std::memory_order_relaxed);
   stage_ns.store(0, std::memory_order_relaxed);
 }
 
 PlaneCounters PlaneCounters::operator-(const PlaneCounters& rhs) const {
   PlaneCounters d;
-  d.lock_acquisitions = lock_acquisitions - rhs.lock_acquisitions;
-  d.lock_contended = lock_contended - rhs.lock_contended;
-  d.lock_wait_ns = lock_wait_ns - rhs.lock_wait_ns;
-  d.stages_pipelined = stages_pipelined - rhs.stages_pipelined;
   d.stages_barrier = stages_barrier - rhs.stages_barrier;
   d.stages_serial = stages_serial - rhs.stages_serial;
   d.commit_tasks = commit_tasks - rhs.commit_tasks;
@@ -60,7 +46,6 @@ PlaneCounters PlaneCounters::operator-(const PlaneCounters& rhs) const {
   d.shuffle_puts = shuffle_puts - rhs.shuffle_puts;
   d.shuffle_put_batches = shuffle_put_batches - rhs.shuffle_put_batches;
   d.commit_ns = commit_ns - rhs.commit_ns;
-  d.ready_wait_ns = ready_wait_ns - rhs.ready_wait_ns;
   d.eval_ns = eval_ns - rhs.eval_ns;
   d.stage_ns = stage_ns - rhs.stage_ns;
   return d;
@@ -71,12 +56,6 @@ obs::MetricsRegistry PlaneCounters::to_metrics() const {
   const auto add = [&m](const char* name, std::uint64_t v) {
     m.counter_add(name, {}, static_cast<double>(v));
   };
-  add("plane.lock.acquisitions", lock_acquisitions);
-  add("plane.lock.contended", lock_contended);
-  m.counter_add("plane.lock.wait_seconds", {},
-                static_cast<double>(lock_wait_ns) * 1e-9);
-  m.counter_add("plane.stages", {{"mode", "pipelined"}},
-                static_cast<double>(stages_pipelined));
   m.counter_add("plane.stages", {{"mode", "barrier"}},
                 static_cast<double>(stages_barrier));
   m.counter_add("plane.stages", {{"mode", "serial"}},
@@ -90,8 +69,6 @@ obs::MetricsRegistry PlaneCounters::to_metrics() const {
   add("plane.shuffle.put_batches", shuffle_put_batches);
   m.counter_add("plane.commit.seconds", {},
                 static_cast<double>(commit_ns) * 1e-9);
-  m.counter_add("plane.commit.ready_wait_seconds", {},
-                static_cast<double>(ready_wait_ns) * 1e-9);
   m.counter_add("plane.eval.seconds", {},
                 static_cast<double>(eval_ns) * 1e-9);
   m.counter_add("plane.stage.seconds", {},

@@ -1,8 +1,8 @@
-// Contention and throughput counters for the parallel data plane.
+// Throughput counters for the parallel data plane.
 //
 // The 84-config identity gate compares run results, exported metrics and
-// trace bytes across thread counts, so anything thread-dependent — lock
-// waits, commit batching, pipeline overlap — must never reach a RunResult
+// trace bytes across thread counts, so anything thread-dependent — commit
+// batching, evaluation and commit wall-clock — must never reach a RunResult
 // or the obs recorder attached to a run. These counters therefore live in
 // a process-global struct outside every serialized artifact; bench_perf
 // and the plane tests snapshot it (as an obs::MetricsRegistry, so the
@@ -15,9 +15,7 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <mutex>
 
 #include "obs/metrics.hpp"
 
@@ -25,10 +23,6 @@ namespace tsx::spark {
 
 /// Plain-value snapshot of PlaneStats (subtractable, copyable).
 struct PlaneCounters {
-  std::uint64_t lock_acquisitions = 0;
-  std::uint64_t lock_contended = 0;
-  std::uint64_t lock_wait_ns = 0;
-  std::uint64_t stages_pipelined = 0;
   std::uint64_t stages_barrier = 0;
   std::uint64_t stages_serial = 0;
   std::uint64_t commit_tasks = 0;
@@ -37,9 +31,14 @@ struct PlaneCounters {
   std::uint64_t shuffle_puts = 0;
   std::uint64_t shuffle_put_batches = 0;
   std::uint64_t commit_ns = 0;
-  std::uint64_t ready_wait_ns = 0;
   std::uint64_t eval_ns = 0;
   std::uint64_t stage_ns = 0;
+
+  // Always 0 (no locks, no ready-wait); perfbench/driver.cpp still reads them.
+  std::uint64_t lock_acquisitions = 0;
+  std::uint64_t lock_contended = 0;
+  std::uint64_t lock_wait_ns = 0;
+  std::uint64_t ready_wait_ns = 0;
 
   PlaneCounters operator-(const PlaneCounters& rhs) const;
 
@@ -49,17 +48,9 @@ struct PlaneCounters {
 };
 
 /// Process-global counters (like ThreadBudget: the plane is a process-wide
-/// execution resource, and sweeps run many contexts concurrently). Workers
-/// touch only the lock_* group; the rest is driver-side per stage.
+/// execution resource, and sweeps run many contexts concurrently). Each
+/// context's driver thread updates them once per stage or commit.
 struct PlaneStats {
-  // Shard-stripe lock traffic (workers + driver; padded: these are the only
-  // cells hammered from several threads at once).
-  alignas(64) std::atomic<std::uint64_t> lock_acquisitions{0};
-  alignas(64) std::atomic<std::uint64_t> lock_contended{0};
-  alignas(64) std::atomic<std::uint64_t> lock_wait_ns{0};
-
-  // Stage/commit accounting (driver thread only).
-  alignas(64) std::atomic<std::uint64_t> stages_pipelined{0};
   std::atomic<std::uint64_t> stages_barrier{0};
   std::atomic<std::uint64_t> stages_serial{0};
   std::atomic<std::uint64_t> commit_tasks{0};
@@ -67,43 +58,14 @@ struct PlaneStats {
   std::atomic<std::uint64_t> commit_ops_generic{0};
   std::atomic<std::uint64_t> shuffle_puts{0};
   std::atomic<std::uint64_t> shuffle_put_batches{0};
-  std::atomic<std::uint64_t> commit_ns{0};      ///< submit + step-loop wall
-  std::atomic<std::uint64_t> ready_wait_ns{0};  ///< driver blocked on eval
-  std::atomic<std::uint64_t> eval_ns{0};        ///< summed task-host wall
-  std::atomic<std::uint64_t> stage_ns{0};       ///< whole parallel stage
+  std::atomic<std::uint64_t> commit_ns{0};  ///< submit + step-loop wall
+  std::atomic<std::uint64_t> eval_ns{0};    ///< summed task-host wall
+  std::atomic<std::uint64_t> stage_ns{0};   ///< whole parallel stage
 
   static PlaneStats& global();
 
   PlaneCounters read() const;
   void reset();
-};
-
-/// Locks a shard stripe, folding the acquisition into the global counters.
-/// The fast path is one try_lock; only a contended acquisition pays for the
-/// clock reads that measure the wait.
-class StripeLockGuard {
- public:
-  explicit StripeLockGuard(std::mutex& mu) : mu_(mu) {
-    PlaneStats& stats = PlaneStats::global();
-    stats.lock_acquisitions.fetch_add(1, std::memory_order_relaxed);
-    if (mu_.try_lock()) return;
-    const auto t0 = std::chrono::steady_clock::now();
-    mu_.lock();
-    const auto waited = std::chrono::steady_clock::now() - t0;
-    stats.lock_contended.fetch_add(1, std::memory_order_relaxed);
-    stats.lock_wait_ns.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
-                .count()),
-        std::memory_order_relaxed);
-  }
-  ~StripeLockGuard() { mu_.unlock(); }
-
-  StripeLockGuard(const StripeLockGuard&) = delete;
-  StripeLockGuard& operator=(const StripeLockGuard&) = delete;
-
- private:
-  std::mutex& mu_;
 };
 
 }  // namespace tsx::spark

@@ -1,27 +1,12 @@
 #include "spark/shuffle.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
 #include "core/error.hpp"
-#include "spark/plane_stats.hpp"
 #include "spark/task_effects.hpp"
 
 namespace tsx::spark {
-
-void ShuffleStore::set_stripes(std::size_t n) {
-  TSX_CHECK(shuffles_.empty(),
-            "set_stripes after shuffles were registered");
-  stripes_ = std::vector<Stripe>(std::max<std::size_t>(1, n));
-}
-
-void ShuffleStore::begin_pipelined_stage() {
-  TSX_CHECK(!pipeline_active_, "pipelined stage already open");
-  pipeline_active_ = true;
-}
-
-void ShuffleStore::end_pipelined_stage() { pipeline_active_ = false; }
 
 int ShuffleStore::register_shuffle(std::size_t map_partitions,
                                    std::size_t reduce_partitions) {
@@ -63,12 +48,6 @@ void ShuffleStore::put_bucket(int shuffle, std::size_t map_part,
                            std::move(records), size, owner);
     return;
   }
-  if (pipeline_active_) {
-    StripeLockGuard lock(stripe_for(map_part).mutex);
-    apply_put(s, shuffle, map_part, reduce_part, std::move(records), size,
-              owner);
-    return;
-  }
   apply_put(s, shuffle, map_part, reduce_part, std::move(records), size,
             owner);
 }
@@ -79,23 +58,14 @@ void ShuffleStore::put_buckets(ShuffleBucketPut* ops, std::size_t count) {
   const std::size_t map_part = ops[0].map_part;
   Shuffle& s = shuffle_at(shuffle);
   TSX_CHECK(map_part < s.maps, "bucket coordinates out of range");
-  const auto apply_all = [&] {
-    for (std::size_t i = 0; i < count; ++i) {
-      ShuffleBucketPut& op = ops[i];
-      TSX_CHECK(op.shuffle == shuffle && op.map_part == map_part,
-                "bucket batch spans map tasks");
-      TSX_CHECK(op.reduce_part < s.reduces,
-                "bucket coordinates out of range");
-      apply_put(s, shuffle, map_part, op.reduce_part, std::move(op.records),
-                op.size, op.owner);
-    }
-  };
-  if (pipeline_active_) {
-    StripeLockGuard lock(stripe_for(map_part).mutex);
-    apply_all();
-    return;
+  for (std::size_t i = 0; i < count; ++i) {
+    ShuffleBucketPut& op = ops[i];
+    TSX_CHECK(op.shuffle == shuffle && op.map_part == map_part,
+              "bucket batch spans map tasks");
+    TSX_CHECK(op.reduce_part < s.reduces, "bucket coordinates out of range");
+    apply_put(s, shuffle, map_part, op.reduce_part, std::move(op.records),
+              op.size, op.owner);
   }
-  apply_all();
 }
 
 void ShuffleStore::apply_put(Shuffle& s, int shuffle, std::size_t map_part,
@@ -138,15 +108,7 @@ const std::any& ShuffleStore::bucket(int shuffle, std::size_t map_part,
   const std::size_t idx = map_part * s.reduces + reduce_part;
   if (TaskEffects* fx = TaskEffects::current()) {
     // The bucket data is safe to read concurrently (written before the
-    // stage barrier — the stripe lock makes a violation TSan-visible), but
-    // the hotness bump must land in commit order.
-    if (pipeline_active_) {
-      StripeLockGuard lock(stripe_for(map_part).mutex);
-      if (tiering_ != nullptr && s.sizes[idx].b() > 0.0)
-        fx->record_shuffle_read(const_cast<ShuffleStore*>(this), shuffle,
-                                map_part, s.sizes[idx]);
-      return s.cells[idx];
-    }
+    // stage barrier), but the hotness bump must land in commit order.
     if (tiering_ != nullptr && s.sizes[idx].b() > 0.0)
       fx->record_shuffle_read(const_cast<ShuffleStore*>(this), shuffle,
                               map_part, s.sizes[idx]);

@@ -110,7 +110,6 @@ void TaskEffects::reset() {
   shuffle_puts_.clear();
   shuffle_reads_.clear();
   generics_.clear();
-  retained_.clear();
   overlay_.clear();
 }
 

@@ -351,15 +351,6 @@ RunResult run_workload(const RunConfig& config, double wall_budget_seconds) {
     const int want = std::atoi(env);
     if (want > 1) conf.intra_run_threads = ThreadBudget::global().grant_inner(want);
   }
-  // Companion knobs of the parallel plane (DESIGN.md §16), equally outside
-  // RunConfig: shard count of the block/shuffle state stripes, and the
-  // pipelined-vs-barrier commit mode ("0" forces the full barrier).
-  if (const char* env = std::getenv("TSX_TASK_SHARDS")) {
-    const int want = std::atoi(env);
-    if (want >= 1) conf.state_shards = want;
-  }
-  if (const char* env = std::getenv("TSX_TASK_PIPELINE"))
-    conf.pipelined_commit = std::atoi(env) != 0;
 
   spark::SparkContext sc(machine, dfs, conf, config.seed);
 

@@ -171,6 +171,8 @@ struct RunResult {
   /// run's stages. Deliberately kept out of serialization — wall-clock is
   /// machine-dependent and must not perturb the bit-identity gates; the
   /// perf bench reads it to compare row vs columnar execution speed.
+  /// Summed per task across threads: with TSX_TASK_THREADS > 1 it can
+  /// exceed the run's wall-clock.
   double host_execute_seconds = 0.0;
 
   /// The run's finalized span recorder (null unless `config.obs.enabled`).

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "core/error.hpp"
 #include "dfs/dfs.hpp"
@@ -238,15 +239,37 @@ TEST(BlockManagerFaults, DropOwnedByRemovesOnlyTheVictims) {
   EXPECT_EQ(bm.drop_owned_by(0), 0u);  // idempotent
 }
 
+/// Tiering observer that only records which regions were dropped.
+class DropRecorder : public spark::TieringHooks {
+ public:
+  void on_region_put(spark::StreamClass, spark::RegionId, Bytes) override {}
+  void on_region_access(spark::StreamClass, spark::RegionId, Bytes,
+                        mem::AccessKind) override {}
+  void on_region_drop(spark::StreamClass, spark::RegionId id) override {
+    dropped.push_back(id);
+  }
+  std::vector<spark::TierShare> traffic_split(
+      spark::StreamClass) const override {
+    return {};
+  }
+
+  std::vector<spark::RegionId> dropped;
+};
+
 TEST(BlockManagerFaults, DropLruPoisonsTheColdestBlock) {
+  DropRecorder hooks;  // outlives the engine: its teardown drops blocks too
   Engine e;
   spark::BlockManager& bm = e.sc->block_manager();
+  bm.set_tiering(&hooks);
   bm.put({2, 0}, 20, Bytes::of(512), 0);
   bm.put({2, 1}, 21, Bytes::of(512), 0);
   bm.get({2, 0});  // 2,0 becomes most recently used; 2,1 is now LRU
   EXPECT_TRUE(bm.drop_lru());
   EXPECT_TRUE(bm.has({2, 0}));
   EXPECT_FALSE(bm.has({2, 1}));
+  // The tiering observer hears about the victim it actually lost.
+  EXPECT_EQ(hooks.dropped,
+            std::vector<spark::RegionId>{spark::cache_region(2, 1)});
   EXPECT_TRUE(bm.drop_lru());
   EXPECT_FALSE(bm.drop_lru());  // empty store
 }

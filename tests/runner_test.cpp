@@ -9,9 +9,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/thread_pool.hpp"
 #include "runner/parallel_runner.hpp"
 #include "runner/serialize.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace tsx::runner {
 namespace {

@@ -1,9 +1,10 @@
 // The parallel data plane's contract (DESIGN.md §11): evaluating a stage's
 // task host functions across a thread pool changes nothing observable.
 // Whole runs serialize to the same bytes for every thread count, engine
-// counters and accumulators agree exactly with serial execution, fault mode
-// ignores the knob entirely, and the thread budget keeps nested sweep x
-// task parallelism from oversubscribing.
+// counters and accumulators agree exactly with serial execution, a
+// throwing task leaves no buffered effect behind, fault mode ignores the
+// knob entirely, and the thread budget keeps nested sweep x task
+// parallelism from oversubscribing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,28 +46,6 @@ class TaskThreadsGuard {
   ~TaskThreadsGuard() { unsetenv("TSX_TASK_THREADS"); }
   TaskThreadsGuard(const TaskThreadsGuard&) = delete;
   TaskThreadsGuard& operator=(const TaskThreadsGuard&) = delete;
-};
-
-/// Scoped TSX_TASK_SHARDS (block/shuffle state stripes).
-class TaskShardsGuard {
- public:
-  explicit TaskShardsGuard(int shards) {
-    setenv("TSX_TASK_SHARDS", std::to_string(shards).c_str(), 1);
-  }
-  ~TaskShardsGuard() { unsetenv("TSX_TASK_SHARDS"); }
-  TaskShardsGuard(const TaskShardsGuard&) = delete;
-  TaskShardsGuard& operator=(const TaskShardsGuard&) = delete;
-};
-
-/// Scoped TSX_TASK_PIPELINE ("0" = full evaluate/commit barrier).
-class PipelineGuard {
- public:
-  explicit PipelineGuard(bool on) {
-    setenv("TSX_TASK_PIPELINE", on ? "1" : "0", 1);
-  }
-  ~PipelineGuard() { unsetenv("TSX_TASK_PIPELINE"); }
-  PipelineGuard(const PipelineGuard&) = delete;
-  PipelineGuard& operator=(const PipelineGuard&) = delete;
 };
 
 // ---------------------------------------------------------------------------
@@ -122,58 +101,12 @@ TEST(ParallelPlane, SmallScaleRunMatchesSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded state + pipelined commit (DESIGN.md §16)
+// Evaluate/commit plane internals (DESIGN.md §16)
 // ---------------------------------------------------------------------------
-
-class PipelinedCommitByteIdentity : public ::testing::TestWithParam<App> {};
-
-TEST_P(PipelinedCommitByteIdentity, MatchesBarrierModeExactly) {
-  // The pipelined plane overlaps worker evaluation with the driver's commit
-  // replay; with the overlap disabled (full barrier) the engine runs the
-  // two phases strictly in sequence. Both must serialize identically — the
-  // commit schedule, not the wall-clock interleaving, defines the run.
-  RunConfig cfg;
-  cfg.app = GetParam();
-  cfg.scale = ScaleId::kTiny;
-  cfg.tier = mem::TierId::kTier2;
-  TaskThreadsGuard threads(4);
-  std::string barrier;
-  {
-    PipelineGuard off(false);
-    barrier = runner::to_json(workloads::run_workload(cfg));
-  }
-  PipelineGuard on(true);
-  EXPECT_EQ(barrier, runner::to_json(workloads::run_workload(cfg)))
-      << workloads::to_string(cfg.app)
-      << " diverged between barrier and pipelined commit";
-}
-
-INSTANTIATE_TEST_SUITE_P(AllApps, PipelinedCommitByteIdentity,
-                         ::testing::ValuesIn(workloads::kAllApps));
-
-TEST(ShardedState, ShardCountSweepIsByteIdentical) {
-  // Shard = partition % N only moves which stripe a key locks through; any
-  // count must produce the serial bytes. 1 collapses all striping, 7 makes
-  // partitions collide irregularly, 64 out-shards the partition count.
-  RunConfig cfg;
-  cfg.app = App::kPagerank;
-  cfg.scale = ScaleId::kTiny;
-  cfg.tier = mem::TierId::kTier2;
-  cfg.tiering.policy = tiering::PolicyKind::kLfuPromote;
-  unsetenv("TSX_TASK_THREADS");
-  unsetenv("TSX_TASK_SHARDS");
-  const std::string serial = runner::to_json(workloads::run_workload(cfg));
-  TaskThreadsGuard threads(4);
-  for (const int shards : {1, 2, 7, 64}) {
-    TaskShardsGuard guard(shards);
-    EXPECT_EQ(serial, runner::to_json(workloads::run_workload(cfg)))
-        << "diverged at " << shards << " shards";
-  }
-}
 
 TEST(ShardedState, ColumnarRunIsPipelineSafe) {
   // The columnar runtime defers its stats merges, kernel emits and cache
-  // hotness bumps through the same effects buffer; a pipelined columnar
+  // hotness bumps through the same effects buffer; a parallel columnar
   // run must match serial bytes too.
   RunConfig cfg;
   cfg.app = App::kSort;
@@ -182,15 +115,14 @@ TEST(ShardedState, ColumnarRunIsPipelineSafe) {
   unsetenv("TSX_TASK_THREADS");
   const std::string serial = runner::to_json(workloads::run_workload(cfg));
   TaskThreadsGuard threads(8);
-  TaskShardsGuard shards(4);
   EXPECT_EQ(serial, runner::to_json(workloads::run_workload(cfg)));
 }
 
 TEST(ShardedState, PlaneCountersAttributeTheStage) {
-  // The contention counters live outside every serialized artifact (the
+  // The plane counters live outside every serialized artifact (the
   // identity gates above prove that); here they must still account for the
-  // work: each parallel stage is counted once in its mode, every task
-  // commits exactly once, and shuffle puts batch at map-task granularity.
+  // work: each parallel stage is counted once, every task commits exactly
+  // once, and shuffle puts batch at map-task granularity.
   using spark::PlaneCounters;
   using spark::PlaneStats;
   RunConfig cfg;
@@ -201,42 +133,30 @@ TEST(ShardedState, PlaneCountersAttributeTheStage) {
   cfg.scale = ScaleId::kTiny;
 
   TaskThreadsGuard threads(4);
-  {
-    PipelineGuard on(true);
-    const PlaneCounters before = PlaneStats::global().read();
-    workloads::run_workload(cfg);
-    const PlaneCounters d = PlaneStats::global().read() - before;
-    EXPECT_GT(d.stages_pipelined, 0u);
-    EXPECT_EQ(d.stages_barrier, 0u);
-    EXPECT_GT(d.commit_tasks, 0u);
-    EXPECT_GT(d.commit_ops_typed, 0u);
-    EXPECT_GT(d.shuffle_puts, 0u);
-    EXPECT_GT(d.shuffle_put_batches, 0u);
-    // Batching merges each map task's R buckets into one store pass.
-    EXPECT_LT(d.shuffle_put_batches, d.shuffle_puts);
-    // Stripe locks only exist inside the pipelined window.
-    EXPECT_GT(d.lock_acquisitions, 0u);
-  }
-  {
-    PipelineGuard off(false);
-    const PlaneCounters before = PlaneStats::global().read();
-    workloads::run_workload(cfg);
-    const PlaneCounters d = PlaneStats::global().read() - before;
-    EXPECT_EQ(d.stages_pipelined, 0u);
-    EXPECT_GT(d.stages_barrier, 0u);
-    // Barrier mode takes no stripe locks at all.
-    EXPECT_EQ(d.lock_acquisitions, 0u);
-  }
+  const PlaneCounters before = PlaneStats::global().read();
+  workloads::run_workload(cfg);
+  const PlaneCounters d = PlaneStats::global().read() - before;
+  EXPECT_GT(d.stages_barrier, 0u);
+  EXPECT_GT(d.commit_tasks, 0u);
+  EXPECT_GT(d.commit_ops_typed, 0u);
+  EXPECT_GT(d.shuffle_puts, 0u);
+  EXPECT_GT(d.shuffle_put_batches, 0u);
+  // Batching merges each map task's R buckets into one store pass.
+  EXPECT_LT(d.shuffle_put_batches, d.shuffle_puts);
+  EXPECT_GT(d.eval_ns, 0u);
+  EXPECT_GT(d.stage_ns, 0u);
 
   // The snapshot renders as a standalone metrics registry.
   const auto metrics = PlaneStats::global().read().to_metrics();
   EXPECT_GT(metrics.value("plane.commit.tasks", {}), 0.0);
-  EXPECT_GT(metrics.value("plane.stages", {{"mode", "pipelined"}}), 0.0);
+  EXPECT_GT(metrics.value("plane.stages", {{"mode", "barrier"}}), 0.0);
 }
 
 TEST(ParallelPlane, FaultModeIgnoresShardAndPipelineKnobs) {
-  // Recovery stages stay on the serial path; the sharding knobs must not
-  // perturb a faulted run either.
+  // The crash drill's recovery stages (recomputation of lost map outputs)
+  // stay on the serial path as well. The name dates from when this test
+  // also set the since-removed state-sharding and pipelined-commit knobs;
+  // the plane's one remaining knob must not perturb a crashed run either.
   RunConfig cfg;
   cfg.app = App::kSort;
   cfg.scale = ScaleId::kTiny;
@@ -244,11 +164,8 @@ TEST(ParallelPlane, FaultModeIgnoresShardAndPipelineKnobs) {
   cfg.cores_per_executor = 20;
   cfg.fault = fault::scenario("crash");
   unsetenv("TSX_TASK_THREADS");
-  unsetenv("TSX_TASK_SHARDS");
   const std::string serial = runner::to_json(workloads::run_workload(cfg));
   TaskThreadsGuard threads(8);
-  TaskShardsGuard shards(3);
-  PipelineGuard on(true);
   EXPECT_EQ(serial, runner::to_json(workloads::run_workload(cfg)));
 }
 
@@ -273,15 +190,19 @@ TEST(ParallelPlane, FaultModeIgnoresTaskThreads) {
 
 /// Runs a job that folds a non-commutative float sum through an accumulator
 /// and caches + reuses an RDD, returning (accumulator value, hits, misses,
-/// total cpu-seconds) for exact comparison across execution modes.
+/// cached blocks, total cpu-seconds) for exact comparison across execution
+/// modes. With `throw_first`, the same context first runs a job whose
+/// partition 5 throws after the other partitions folded into the same
+/// accumulator and cached their blocks.
 struct EngineProbe {
   double acc = 0.0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  std::size_t blocks = 0;
   double cpu_seconds = 0.0;
 };
 
-EngineProbe run_engine_probe(int intra_run_threads) {
+EngineProbe run_engine_probe(int intra_run_threads, bool throw_first = false) {
   sim::Simulator simulator;
   mem::MachineModel machine(simulator);
   dfs::Dfs fs;
@@ -292,6 +213,18 @@ EngineProbe run_engine_probe(int intra_run_threads) {
   auto acc = spark::make_accumulator<double>(0.0);
   std::vector<int> data(4000);
   std::iota(data.begin(), data.end(), 1);
+  if (throw_first) {
+    auto doomed = spark::cache_rdd(spark::map_partitions_rdd<double>(
+        spark::parallelize<int>(sc, data, 16),
+        [acc](std::vector<int> part, spark::TaskContext& ctx) {
+          for (const int x : part) acc.add(static_cast<double>(x), ctx);
+          if (ctx.partition() == 5)
+            throw std::runtime_error("partition 5 exploded");
+          return std::vector<double>(part.begin(), part.end());
+        },
+        "doomed"));
+    EXPECT_THROW(spark::collect(doomed), std::runtime_error);
+  }
   auto squares = spark::map_partitions_rdd<double>(
       spark::parallelize<int>(sc, data, 16),
       [acc](std::vector<int> part, spark::TaskContext& ctx) {
@@ -317,6 +250,7 @@ EngineProbe run_engine_probe(int intra_run_threads) {
   probe.acc = acc.value();
   probe.hits = sc.block_manager().hits();
   probe.misses = sc.block_manager().misses();
+  probe.blocks = sc.block_manager().block_count();
   probe.cpu_seconds =
       first.total_cost.cpu_seconds + second.total_cost.cpu_seconds;
   return probe;
@@ -337,6 +271,20 @@ TEST(ParallelPlane, AccumulatorAndCacheCountersMatchSerialExactly) {
     EXPECT_EQ(serial.cpu_seconds, parallel.cpu_seconds)
         << threads << " threads";
   }
+}
+
+TEST(ParallelPlane, ThrowingTaskPropagatesAndLeavesTheContextClean) {
+  // A task exception leaves the action once the whole evaluation batch has
+  // drained. Nothing the failed stage buffered — accumulator folds, cache
+  // puts — may reach the stores, so the context's next job matches a serial
+  // context that never ran the failed one.
+  const EngineProbe serial = run_engine_probe(1);
+  const EngineProbe parallel = run_engine_probe(4, /*throw_first=*/true);
+  EXPECT_EQ(serial.acc, parallel.acc);
+  EXPECT_EQ(serial.hits, parallel.hits);
+  EXPECT_EQ(serial.misses, parallel.misses);
+  EXPECT_EQ(serial.blocks, parallel.blocks);
+  EXPECT_EQ(serial.cpu_seconds, parallel.cpu_seconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,47 +340,6 @@ TEST(ThreadPoolReuse, ManyBatchesOnOnePool) {
   }
 }
 
-TEST(ThreadPoolSplit, LaunchThenWaitRunsEveryIndexExactlyOnce) {
-  // The pipelined plane launches the batch and only joins after the commit
-  // loop; the split must cover every index exactly once, including batches
-  // far wider than the worker count (range chunking + stealing).
-  ThreadPool pool(4);
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::atomic<int>> seen(1000);
-    pool.launch_batch(seen.size(),
-                      [&](std::size_t i) { seen[i].fetch_add(1); });
-    pool.wait_batch();
-    for (std::size_t i = 0; i < seen.size(); ++i)
-      ASSERT_EQ(seen[i].load(), 1) << "index " << i << " round " << round;
-  }
-}
-
-TEST(ThreadPoolSplit, WaitWithoutLaunchIsANoOp) {
-  ThreadPool pool(2);
-  pool.wait_batch();  // must not hang or throw
-  std::atomic<int> ran{0};
-  pool.run_batch(8, [&](std::size_t) { ++ran; });
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPoolSplit, FailureFlagAndRethrow) {
-  // A task exception marks the batch failed (the pipelined driver polls the
-  // flag from its ready-spin), drains the rest, and wait_batch rethrows the
-  // first error. The pool must stay usable afterwards.
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  pool.launch_batch(64, [&](std::size_t i) {
-    ++ran;
-    if (i == 13) throw std::runtime_error("task 13 exploded");
-  });
-  EXPECT_THROW(pool.wait_batch(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 64);  // the batch drained despite the throw
-  std::atomic<int> again{0};
-  pool.run_batch(16, [&](std::size_t) { ++again; });
-  EXPECT_EQ(again.load(), 16);
-  EXPECT_FALSE(pool.batch_failed());  // next launch re-armed the flag
-}
-
 TEST(ThreadPoolReuse, NestedRunnerAndTaskParallelismStaysByteIdentical) {
   // Sweep pool outside, task pools inside — the nesting the budget exists
   // for. Results must match a fully serial loop byte for byte.
@@ -455,6 +362,38 @@ TEST(ThreadPoolReuse, NestedRunnerAndTaskParallelismStaysByteIdentical) {
   ASSERT_EQ(nested.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i)
     EXPECT_EQ(serial[i], runner::to_json(nested[i])) << configs[i].describe();
+}
+
+TEST(ThreadPoolSplit, LaunchThenWaitRunsEveryIndexExactlyOnce) {
+  // run_batch launches the batch and waits for it to drain; the split must
+  // cover every index exactly once, including batches far wider than the
+  // worker count (range chunking + stealing), round after round.
+  ThreadPool pool(4);
+  for (int round = 0; round < 5; ++round) {
+    std::vector<std::atomic<int>> seen(1000);
+    pool.run_batch(seen.size(), [&](std::size_t i) { seen[i].fetch_add(1); });
+    for (std::size_t i = 0; i < seen.size(); ++i)
+      ASSERT_EQ(seen[i].load(), 1) << "index " << i << " round " << round;
+  }
+}
+
+TEST(ThreadPoolSplit, FailureFlagAndRethrow) {
+  // A task exception is recorded as the batch's failure, the rest of the
+  // batch drains, and run_batch rethrows the first error. The pool must
+  // stay usable afterwards.
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.run_batch(64,
+                              [&](std::size_t i) {
+                                ++ran;
+                                if (i == 13)
+                                  throw std::runtime_error("task 13 exploded");
+                              }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 64);  // the batch drained despite the throw
+  std::atomic<int> again{0};
+  pool.run_batch(16, [&](std::size_t) { ++again; });
+  EXPECT_EQ(again.load(), 16);  // the next batch starts with no failure
 }
 
 // ---------------------------------------------------------------------------

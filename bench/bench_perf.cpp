@@ -12,19 +12,21 @@
 // and make the comparison vacuous).
 //
 // Part 2 measures what the plane buys: wall-clock per workload, serial vs
-// 2/4/8 evaluation threads, on the paper's small scale. Each run APPENDS an
-// entry to the history array in BENCH_perf.json in the working directory,
-// so successive CI runs accumulate the repo's perf trajectory instead of
-// overwriting it (a pre-history single-object file is absorbed as the
-// oldest entry). Speedups are hardware-dependent (a 1-core container shows
-// none); the gate above is what guarantees they are free of simulation
-// drift.
+// 2/4/8 evaluation threads, on the paper's small scale, as the median and
+// min/max over TSX_PERF_REPEATS repeats per cell after one untimed warm-up
+// run. Each run APPENDS an entry to the history array in BENCH_perf.json in
+// the working directory, so successive CI runs accumulate the repo's perf
+// trajectory instead of overwriting it (a pre-history single-object file is
+// absorbed as the oldest entry). Speedups are hardware-dependent (a 1-core
+// container shows none); the gate above is what guarantees they are free of
+// simulation drift.
 //
 // Part 3 compares the columnar engine against the row path for the ported
 // workloads (sort, pagerank) on the large scale: per-stage execute
 // wall-clock (RunResult::host_execute_seconds — host seconds inside stage
-// task execution, so scheduler/report overhead is excluded), best-of-N,
-// recorded as a "columnar" column group in the same history entry.
+// task execution, so scheduler/report overhead is excluded), median and
+// min/max over the repeats, recorded as a "columnar" column group in the
+// same history entry.
 //
 // Part 4 turns the observability plane on for pagerank on DRAM and on NVM
 // and records the run span's per-phase tier-time attribution (all nine
@@ -33,7 +35,7 @@
 // over the repo's life alongside the wall-clock numbers.
 //
 //   TSX_PERF_SCALE=tiny|small|large   timing scale (default small)
-//   TSX_PERF_REPEATS=<n>              timing repeats per cell (default 3)
+//   TSX_PERF_REPEATS=<n>              timing repeats per cell (default 5)
 //   TSX_PERF_SKIP_GATE=1              timing only (for quick local runs)
 #include <algorithm>
 #include <chrono>
@@ -49,6 +51,7 @@
 #include "obs/span.hpp"
 #include "runner/serialize.hpp"
 #include "spark/plane_stats.hpp"
+#include "stats/quantiles.hpp"
 #include "workloads/scales.hpp"
 
 namespace {
@@ -113,9 +116,11 @@ std::string run_artifacts(RunConfig cfg) {
 }
 
 /// Abbreviated commit hash of the tree the binary was built from, for the
-/// perf-history provenance line ("unknown" outside a git checkout).
+/// perf-history provenance line: "-dirty" when the working tree differs
+/// from that commit, "unknown" outside a git checkout.
 std::string git_commit() {
-  std::FILE* p = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
+  std::FILE* p =
+      ::popen("git describe --always --dirty --abbrev=7 2>/dev/null", "r");
   if (p == nullptr) return "unknown";
   char buf[64] = {0};
   std::string out;
@@ -126,17 +131,39 @@ std::string git_commit() {
   return out.empty() ? "unknown" : out;
 }
 
-double wall_seconds(const RunConfig& cfg, int repeats) {
-  double best = 0.0;
+/// One timing cell: median and range over its repeats. The median is the
+/// reported level; min/max show how far a single repeat can stray.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spread_of(const std::vector<double>& samples) {
+  const stats::ViolinSummary v = stats::violin(samples);
+  return {v.median, v.min, v.max};
+}
+
+/// `"<name>_s": median, "<name>_min_s": min, "<name>_max_s": max`.
+std::string spread_json(const char* name, const Spread& s) {
+  return strfmt(
+      "\"%s_s\": %.6f, \"%s_min_s\": %.6f, \"%s_max_s\": %.6f", name,
+      s.median, name, s.min, name, s.max);
+}
+
+Spread wall_seconds(const RunConfig& cfg, int repeats) {
+  // One untimed run first: the process's first runs pay allocator growth
+  // and page faults that would otherwise land in the first cells' repeats.
+  (void)run_workload(cfg);
+  std::vector<double> secs;
   for (int r = 0; r < repeats; ++r) {
     const auto start = std::chrono::steady_clock::now();
     (void)run_workload(cfg);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (r == 0 || secs < best) best = secs;  // best-of-N: least noisy
+    secs.push_back(std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
   }
-  return best;
+  return spread_of(secs);
 }
 
 }  // namespace
@@ -181,15 +208,15 @@ int main() {
   ScaleId scale = ScaleId::kSmall;
   if (const char* s = std::getenv("TSX_PERF_SCALE"))
     scale = scale_from_label(s);
-  int repeats = 3;
+  int repeats = 5;
   if (const char* r = std::getenv("TSX_PERF_REPEATS"))
     repeats = std::max(1, std::atoi(r));
 
   using spark::PlaneCounters;
   using spark::PlaneStats;
 
-  TablePrinter table({"app", "serial (s)", "2t (s)", "4t (s)", "8t (s)",
-                      "speedup@8", "commit share@8"});
+  TablePrinter table({"app", "serial (s)", "serial min-max (s)", "2t (s)",
+                      "4t (s)", "8t (s)", "speedup@8", "commit share@8"});
   // Host provenance: speedups only mean something relative to the machine
   // and tree that produced them.
   std::string entry =
@@ -205,8 +232,8 @@ int main() {
     cfg.app = app;
     cfg.scale = scale;
     set_task_threads(1);
-    const double serial = wall_seconds(cfg, repeats);
-    std::vector<double> parallel;
+    const Spread serial = wall_seconds(cfg, repeats);
+    std::vector<Spread> parallel;
     PlaneCounters delta8;
     for (const int threads : kThreadCounts) {
       set_task_threads(threads);
@@ -215,40 +242,42 @@ int main() {
       if (threads == 8) delta8 = PlaneStats::global().read() - before;
     }
     set_task_threads(1);
-    const double speedup8 = parallel.back() > 0.0 ? serial / parallel.back()
-                                                  : 0.0;
+    const double speedup8 = parallel.back().median > 0.0
+                                ? serial.median / parallel.back().median
+                                : 0.0;
     // Attribution of the 8-thread cell: how much of the parallel stages'
     // wall-clock the driver spent in the serial commit phase.
     const double stage_s = static_cast<double>(delta8.stage_ns) * 1e-9;
     const double commit_s = static_cast<double>(delta8.commit_ns) * 1e-9;
     const double commit_share = stage_s > 0.0 ? commit_s / stage_s : 0.0;
-    table.add_row({to_string(app), TablePrinter::num(serial, 3),
-                   TablePrinter::num(parallel[0], 3),
-                   TablePrinter::num(parallel[1], 3),
-                   TablePrinter::num(parallel[2], 3),
+    table.add_row({to_string(app), TablePrinter::num(serial.median, 3),
+                   TablePrinter::num(serial.min, 3) + "-" +
+                       TablePrinter::num(serial.max, 3),
+                   TablePrinter::num(parallel[0].median, 3),
+                   TablePrinter::num(parallel[1].median, 3),
+                   TablePrinter::num(parallel[2].median, 3),
                    TablePrinter::num(speedup8, 2) + "x",
                    TablePrinter::num(commit_share * 100.0, 1) + "%"});
     if (!first_row) entry += ",\n";
     first_row = false;
-    entry += strfmt(
-        "        {\"app\": \"%s\", \"serial_s\": %.6f, \"threads_2_s\": "
-        "%.6f, \"threads_4_s\": %.6f, \"threads_8_s\": %.6f, "
-        "\"speedup_8\": %.4f, \"stage_s_8\": %.6f, \"commit_s_8\": %.6f, "
-        "\"commit_share_8\": %.4f}",
-        to_string(app).c_str(), serial, parallel[0], parallel[1], parallel[2],
-        speedup8, stage_s, commit_s, commit_share);
+    entry += "        {\"app\": \"" + to_string(app) + "\", " +
+             spread_json("serial", serial) + ", " +
+             spread_json("threads_2", parallel[0]) + ", " +
+             spread_json("threads_4", parallel[1]) + ", " +
+             spread_json("threads_8", parallel[2]) +
+             strfmt(", \"speedup_8\": %.4f, \"stage_s_8\": %.6f, "
+                    "\"commit_s_8\": %.6f, \"commit_share_8\": %.4f}",
+                    speedup8, stage_s, commit_s, commit_share);
   }
   entry += "\n      ]";
   table.print(std::cout);
 
   // --- Part 3: columnar vs row per-stage execute wall-clock --------------
-  const auto best_execute = [repeats](const RunConfig& cfg) {
-    double best = 0.0;
-    for (int r = 0; r < repeats; ++r) {
-      const double secs = run_workload(cfg).host_execute_seconds;
-      if (r == 0 || secs < best) best = secs;
-    }
-    return best;
+  const auto execute_seconds = [repeats](const RunConfig& cfg) {
+    std::vector<double> secs;
+    for (int r = 0; r < repeats; ++r)
+      secs.push_back(run_workload(cfg).host_execute_seconds);
+    return spread_of(secs);
   };
   set_task_threads(1);
   TablePrinter ctable(
@@ -259,19 +288,18 @@ int main() {
     RunConfig cfg;
     cfg.app = app;
     cfg.scale = ScaleId::kLarge;
-    const double row_s = best_execute(cfg);
+    const Spread row = execute_seconds(cfg);
     cfg.columnar.enabled = true;
-    const double col_s = best_execute(cfg);
-    const double speedup = col_s > 0.0 ? row_s / col_s : 0.0;
-    ctable.add_row({to_string(app), TablePrinter::num(row_s, 4),
-                    TablePrinter::num(col_s, 4),
+    const Spread col = execute_seconds(cfg);
+    const double speedup = col.median > 0.0 ? row.median / col.median : 0.0;
+    ctable.add_row({to_string(app), TablePrinter::num(row.median, 4),
+                    TablePrinter::num(col.median, 4),
                     TablePrinter::num(speedup, 2) + "x"});
     if (!first_col) entry += ",\n";
     first_col = false;
-    entry += strfmt(
-        "        {\"app\": \"%s\", \"row_s\": %.6f, \"columnar_s\": %.6f, "
-        "\"columnar_speedup\": %.4f}",
-        to_string(app).c_str(), row_s, col_s, speedup);
+    entry += "        {\"app\": \"" + to_string(app) + "\", " +
+             spread_json("row", row) + ", " + spread_json("columnar", col) +
+             strfmt(", \"columnar_speedup\": %.4f}", speedup);
   }
   entry += "\n      ]";
   ctable.print(std::cout);

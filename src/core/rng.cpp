@@ -1,6 +1,7 @@
 #include "core/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace tsx {
@@ -74,6 +75,7 @@ std::uint64_t Rng::zipf(std::uint64_t n, double s) {
 ZipfSampler::ZipfSampler(std::uint64_t n, double exponent) {
   TSX_CHECK(n > 0, "ZipfSampler needs n > 0");
   TSX_CHECK(exponent >= 0.0, "ZipfSampler exponent must be >= 0");
+  TSX_CHECK(n <= 0xffffffffULL, "ZipfSampler n must fit 32-bit ranks");
   cdf_.resize(n);
   double total = 0.0;
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -82,11 +84,22 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double exponent) {
   }
   for (auto& c : cdf_) c /= total;
   cdf_.back() = 1.0;  // guard against rounding
+
+  const std::uint64_t buckets = std::bit_ceil(n);
+  buckets_ = static_cast<double>(buckets);
+  guide_.resize(buckets + 1);
+  std::uint32_t rank = 0;
+  for (std::uint64_t b = 0; b <= buckets; ++b) {
+    const double edge = static_cast<double>(b) / buckets_;
+    while (cdf_[rank] < edge) ++rank;  // stops by cdf_.back() == 1.0
+    guide_[b] = rank;
+  }
 }
 
-std::uint64_t ZipfSampler::operator()(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+std::uint64_t ZipfSampler::rank_at(double u) const {
+  const auto b = static_cast<std::size_t>(u * buckets_);
+  const auto it = std::lower_bound(cdf_.begin() + guide_[b],
+                                   cdf_.begin() + guide_[b + 1], u);
   return static_cast<std::uint64_t>(it - cdf_.begin());
 }
 

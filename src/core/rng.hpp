@@ -109,9 +109,8 @@ class Rng {
   std::uint64_t poisson(double mean);
 
   /// Zipf-distributed rank in [0, n) with exponent s (s=0 → uniform).
-  /// Uses an O(1) sampler after O(n) table setup; see ZipfSampler for the
-  /// reusable version. This convenience method is O(log n) per call via an
-  /// approximate rejection sampler and is fine for modest n.
+  /// Table-free rejection sampler (Devroye), O(1) expected draws per call;
+  /// ZipfSampler is the table-driven version for repeated draws.
   std::uint64_t zipf(std::uint64_t n, double s);
 
  private:
@@ -124,18 +123,31 @@ class Rng {
   double cached_normal_ = 0.0;
 };
 
-/// Reusable Zipf sampler with precomputed cumulative weights; O(log n) per
-/// sample by binary search, exact for any exponent >= 0.
+/// Reusable Zipf sampler over precomputed cumulative weights, exact for any
+/// exponent >= 0: a draw returns the first rank whose cumulative weight is
+/// >= u for one uniform u, the full-table std::lower_bound answer. A guide
+/// table over a power-of-two number of equal u-buckets (O(n) memory, built
+/// with the weights) narrows that search to the ranks of u's own bucket, a
+/// handful even in a heavy Zipf tail.
 class ZipfSampler {
  public:
   ZipfSampler(std::uint64_t n, double exponent);
 
-  std::uint64_t operator()(Rng& rng) const;
+  std::uint64_t operator()(Rng& rng) const { return rank_at(rng.uniform()); }
+
+  /// The rank a draw of `u` yields; `u` must lie in [0, 1).
+  std::uint64_t rank_at(double u) const;
 
   std::uint64_t size() const { return cdf_.empty() ? 0 : cdf_.size(); }
 
  private:
   std::vector<double> cdf_;  // normalized cumulative weights
+  // guide_[b] is the first rank with cdf_ >= b / buckets_, for b in
+  // [0, buckets_]; a u in bucket b = floor(u * buckets_) has its rank in
+  // [guide_[b], guide_[b + 1]]. buckets_ is a power of two, so u * buckets_
+  // and b / buckets_ are exact and no u falls in the wrong bucket.
+  std::vector<std::uint32_t> guide_;
+  double buckets_ = 1.0;
 };
 
 }  // namespace tsx

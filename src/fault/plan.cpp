@@ -74,16 +74,23 @@ void FaultClock::arm(Duration at, std::function<void()> fn) {
   sim_.schedule_at(std::max(at, sim_.now()), std::move(fn));
 }
 
+namespace {
+
+// Each tick event schedules the next one itself, so the only owner of `fn`
+// is the pending event (a closure holding itself would never be freed).
+void schedule_tick(sim::Simulator& sim, Duration period,
+                   std::shared_ptr<std::function<bool()>> fn) {
+  sim.schedule_in(period, [&sim, period, fn] {
+    if ((*fn)()) schedule_tick(sim, period, fn);
+  });
+}
+
+}  // namespace
+
 void FaultClock::arm_periodic(Duration period, std::function<bool()> fn) {
   TSX_CHECK(period.sec() > 0.0, "periodic fault clock needs a period");
-  auto shared = std::make_shared<std::function<bool()>>(std::move(fn));
-  auto tick = std::make_shared<std::function<void()>>();
-  sim::Simulator& sim = sim_;
-  *tick = [&sim, period, shared, tick] {
-    if (!(*shared)()) return;
-    sim.schedule_in(period, *tick);
-  };
-  sim_.schedule_in(period, *tick);
+  schedule_tick(sim_, period,
+                std::make_shared<std::function<bool()>>(std::move(fn)));
 }
 
 }  // namespace tsx::fault

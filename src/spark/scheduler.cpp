@@ -292,12 +292,19 @@ void DAGScheduler::run_tasks_with_recovery(StageRecord& record,
   // selects) incrementally: O(log n) per completion instead of copying and
   // selecting over the whole sample — O(n^2) per stage — every time.
   auto durations = std::make_shared<RunningMedian>();
+  // `launch` holds itself only weakly: a strong self-capture would be a
+  // cycle that outlives the stage. Every caller — the first-wave loop below,
+  // a completion's speculative sweep, a scheduled retry — holds a strong
+  // reference for the duration of the call, and the callbacks a launch hands
+  // out keep one until they run or are dropped.
   auto launch = std::make_shared<std::function<void(std::size_t)>>();
+  const std::weak_ptr<std::function<void(std::size_t)>> weak_launch = launch;
 
   obs::Recorder* const rec = sc_.obs();
-  *launch = [this, states, remaining, durations, launch, stage_id, rng_stage,
-             num_tasks, opts, rec, stage_span, &task, &metrics,
+  *launch = [this, states, remaining, durations, weak_launch, stage_id,
+             rng_stage, num_tasks, opts, rec, stage_span, &task, &metrics,
              &record](std::size_t i) {
+    const auto launch = weak_launch.lock();
     sim::Simulator& sim = sc_.machine().simulator();
     auto& executors = sc_.executors();
 

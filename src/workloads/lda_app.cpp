@@ -10,6 +10,7 @@
 // to the number of write operations" (Sec. IV-B).
 #include <cmath>
 #include <memory>
+#include <mutex>
 
 #include "core/strings.hpp"
 #include "spark/broadcast.hpp"
@@ -42,6 +43,35 @@ LdaScale lda_scale(ScaleId scale) {
 
 using Doc = std::vector<std::uint32_t>;  // token word-ids
 using CountMatrix = std::vector<double>;  // topics x vocabulary, row-major
+
+// One iteration's Gibbs conditional, word-major: weight[w * topics + k] =
+// counts[k][w] / (topic k's total count), and total[w] = the sum of word
+// w's weights in topic order. Within an iteration both depend only on
+// (w, k), so the sweep's first task computes them from the broadcast counts
+// and every task of the sweep scans them per token.
+struct GibbsTable {
+  std::once_flag built;
+  std::vector<double> weight;  // vocabulary x topics, row-major
+  std::vector<double> total;   // per word
+};
+
+void build_gibbs_table(GibbsTable& table, const CountMatrix& counts,
+                       int topics, std::size_t vocab) {
+  const auto k_topics = static_cast<std::size_t>(topics);
+  std::vector<double> topic_totals(k_topics, 0.0);
+  for (std::size_t k = 0; k < k_topics; ++k)
+    for (std::size_t w = 0; w < vocab; ++w)
+      topic_totals[k] += counts[k * vocab + w];
+  table.weight.resize(vocab * k_topics);
+  table.total.assign(vocab, 0.0);
+  for (std::size_t w = 0; w < vocab; ++w) {
+    for (std::size_t k = 0; k < k_topics; ++k) {
+      const double weight = counts[k * vocab + w] / topic_totals[k];
+      table.weight[w * k_topics + k] = weight;
+      table.total[w] += weight;
+    }
+  }
+}
 
 }  // namespace
 
@@ -93,37 +123,28 @@ AppOutcome run_lda(spark::SparkContext& sc, ScaleId scale) {
     // Broadcast this iteration's topic-word counts (MLlib ships the topic
     // matrix the same way).
     auto bc = std::make_shared<Broadcast<CountMatrix>>(broadcast(*global));
+    auto table = std::make_shared<GibbsTable>();
     auto deltas = map_partitions_rdd<CountMatrix>(
         docs,
-        [bc, topics, vocab](std::vector<Doc> part_docs,
-                            TaskContext& ctx) {
+        [bc, table, topics, vocab](std::vector<Doc> part_docs,
+                                   TaskContext& ctx) {
           const CountMatrix& counts = bc->value(ctx);
+          std::call_once(table->built, [&] {
+            build_gibbs_table(*table, counts, topics, vocab);
+          });
           CountMatrix delta(static_cast<std::size_t>(topics) * vocab, 0.0);
           Rng rng = ctx.rng().fork(0x1da);
-          std::vector<double> weights(static_cast<std::size_t>(topics));
           double tokens = 0.0;
-          // Per-topic totals for the conditional (precomputed once).
-          std::vector<double> topic_totals(static_cast<std::size_t>(topics),
-                                           0.0);
-          for (int k = 0; k < topics; ++k)
-            for (std::size_t w = 0; w < vocab; ++w)
-              topic_totals[static_cast<std::size_t>(k)] +=
-                  counts[static_cast<std::size_t>(k) * vocab + w];
           for (const Doc& doc : part_docs) {
             for (const std::uint32_t w : doc) {
               tokens += 1.0;
-              double total = 0.0;
-              for (int k = 0; k < topics; ++k) {
-                const double weight =
-                    counts[static_cast<std::size_t>(k) * vocab + w] /
-                    topic_totals[static_cast<std::size_t>(k)];
-                weights[static_cast<std::size_t>(k)] = weight;
-                total += weight;
-              }
-              double u = rng.uniform() * total;
+              const double* weights =
+                  &table->weight[static_cast<std::size_t>(w) *
+                                 static_cast<std::size_t>(topics)];
+              double u = rng.uniform() * table->total[w];
               int chosen = topics - 1;
               for (int k = 0; k < topics; ++k) {
-                u -= weights[static_cast<std::size_t>(k)];
+                u -= weights[k];
                 if (u <= 0.0) {
                   chosen = k;
                   break;
@@ -142,7 +163,9 @@ AppOutcome run_lda(spark::SparkContext& sc, ScaleId scale) {
           // Delta matrices stream out to the reducer.
           ctx.charge_stream_write(Bytes::of(
               8.0 * static_cast<double>(topics) * static_cast<double>(vocab)));
-          return std::vector<CountMatrix>{std::move(delta)};
+          std::vector<CountMatrix> out;
+          out.push_back(std::move(delta));
+          return out;
         },
         "gibbsSweep");
 

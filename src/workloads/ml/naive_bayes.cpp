@@ -57,11 +57,16 @@ NaiveBayesModel build_naive_bayes(
 int classify(const NaiveBayesModel& model,
              const std::vector<std::string>& tokens) {
   int best = 0;
+  // Each token's rank is parsed once per document, not once per class; the
+  // per-class sums still add the same terms in token order.
+  thread_local std::vector<std::size_t> ranks;
+  ranks.clear();
+  for (const auto& t : tokens) ranks.push_back(rank_of(t));
   double best_score = -1e300;
   for (int c = 0; c < model.classes(); ++c) {
     double score = model.log_prior[static_cast<std::size_t>(c)];
     const auto& row = model.log_likelihood[static_cast<std::size_t>(c)];
-    for (const auto& t : tokens) score += row[rank_of(t)];
+    for (const std::size_t r : ranks) score += row[r];
     if (score > best_score) {
       best_score = score;
       best = c;

@@ -43,17 +43,24 @@ Factor<Rank> solve_ridge(
   Factor<Rank> b{};
   for (int i = 0; i < Rank; ++i)
     a[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)] = ridge;
+  // The normal matrix is symmetric and f_i * f_j == f_j * f_i bitwise, so
+  // accumulating the upper triangle and mirroring it gives every cell the
+  // same sum, in the same order, as accumulating all R^2 cells.
   for (const auto& [other_id, score] : observations) {
     TSX_CHECK(other_id < other.size(), "observation id out of range");
     const Factor<Rank>& f = other[other_id];
     for (int i = 0; i < Rank; ++i) {
       b[static_cast<std::size_t>(i)] +=
           f[static_cast<std::size_t>(i)] * score;
-      for (int j = 0; j < Rank; ++j)
+      for (int j = i; j < Rank; ++j)
         a[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] +=
             f[static_cast<std::size_t>(i)] * f[static_cast<std::size_t>(j)];
     }
   }
+  for (int i = 1; i < Rank; ++i)
+    for (int j = 0; j < i; ++j)
+      a[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
+          a[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)];
   // Gaussian elimination with partial pivoting.
   for (int col = 0; col < Rank; ++col) {
     int pivot = col;

@@ -1,8 +1,10 @@
 // Unit tests for tsx::core: units, rng, strings, table, config, error, log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/error.hpp"
@@ -169,6 +171,62 @@ TEST(ZipfSampler, ZeroExponentIsUniformish) {
   std::vector<int> counts(10, 0);
   for (int i = 0; i < 100000; ++i) ++counts[zipf(rng)];
   for (const int c : counts) EXPECT_NEAR(c, 10000, 600);
+}
+
+// The pre-guide-table sampler, kept as the reference: the same cumulative
+// weights, searched with a full-table std::lower_bound.
+std::vector<double> reference_zipf_cdf(std::uint64_t n, double exponent) {
+  std::vector<double> cdf(n);
+  double total = 0.0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    total += std::pow(static_cast<double>(i + 1), -exponent);
+    cdf[i] = total;
+  }
+  for (auto& c : cdf) c /= total;
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+std::uint64_t reference_zipf_rank(const std::vector<double>& cdf, double u) {
+  return static_cast<std::uint64_t>(
+      std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+TEST(ZipfSampler, GuideTableMatchesFullLowerBound) {
+  for (const std::uint64_t n : {1ULL, 2ULL, 3ULL, 750ULL, 8000ULL, 100000ULL}) {
+    for (const double exponent : {0.0, 0.9, 1.05, 1.1, 1.2}) {
+      SCOPED_TRACE(strfmt("n=%llu exponent=%g",
+                          static_cast<unsigned long long>(n), exponent));
+      const ZipfSampler zipf(n, exponent);
+      const std::vector<double> cdf = reference_zipf_cdf(n, exponent);
+      ASSERT_EQ(zipf.size(), n);
+
+      // Seeded draws: the same rng stream yields the same ranks.
+      Rng rng(n * 31 + static_cast<std::uint64_t>(exponent * 100.0));
+      Rng ref_rng = rng;
+      std::uint64_t mismatches = 0;
+      for (int i = 0; i < 1000000; ++i)
+        if (zipf(rng) != reference_zipf_rank(cdf, ref_rng.uniform()))
+          ++mismatches;
+      EXPECT_EQ(mismatches, 0u);
+
+      // Adversarial u: 0, the largest double below 1, every cumulative
+      // weight (a rank boundary) and every multiple of 2^-17 (a bucket edge
+      // for any power-of-two bucket count up to 2^17 >= n), each with its
+      // neighbours.
+      std::vector<double> edges = cdf;
+      for (int k = 0; k < (1 << 17); ++k) edges.push_back(std::ldexp(k, -17));
+      std::vector<double> us = {0.0, std::nextafter(1.0, 0.0)};
+      for (const double c : edges) {
+        if (c > 0.0) us.push_back(std::nextafter(c, 0.0));
+        if (c < 1.0) us.push_back(c);
+        if (std::nextafter(c, 2.0) < 1.0) us.push_back(std::nextafter(c, 2.0));
+      }
+      for (const double u : us)
+        if (zipf.rank_at(u) != reference_zipf_rank(cdf, u)) ++mismatches;
+      EXPECT_EQ(mismatches, 0u);
+    }
+  }
 }
 
 TEST(Rng, ZipfConvenienceStaysInRange) {

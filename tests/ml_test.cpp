@@ -3,10 +3,16 @@
 // Bayes model builder/classifier.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
 #include "workloads/ml/decision_tree.hpp"
 #include "workloads/ml/naive_bayes.hpp"
 #include "workloads/ml/ridge.hpp"
@@ -82,6 +88,71 @@ TEST(Ridge, LeastSquaresResidualOrthogonality) {
   EXPECT_NEAR(r_dot_c1, 0.0, 1e-6);
   EXPECT_NEAR(x[0], truth[0], 0.1);
   EXPECT_NEAR(x[1], truth[1], 0.1);
+}
+
+// The pre-hoist solver, kept as the reference: it accumulates all R^2 cells
+// of the normal matrix, then eliminates exactly as solve_ridge does.
+template <int Rank>
+Factor<Rank> reference_solve_ridge(
+    const std::vector<std::pair<std::uint32_t, float>>& observations,
+    const FactorTable<Rank>& other, double ridge) {
+  constexpr auto R = static_cast<std::size_t>(Rank);
+  std::array<std::array<double, R>, R> a{};
+  Factor<Rank> b{};
+  for (std::size_t i = 0; i < R; ++i) a[i][i] = ridge;
+  for (const auto& [other_id, score] : observations) {
+    const Factor<Rank>& f = other[other_id];
+    for (std::size_t i = 0; i < R; ++i) {
+      b[i] += f[i] * score;
+      for (std::size_t j = 0; j < R; ++j) a[i][j] += f[i] * f[j];
+    }
+  }
+  for (std::size_t col = 0; col < R; ++col) {
+    std::size_t pivot = col;
+    for (std::size_t row = col + 1; row < R; ++row)
+      if (std::abs(a[row][col]) > std::abs(a[pivot][col])) pivot = row;
+    std::swap(a[col], a[pivot]);
+    std::swap(b[col], b[pivot]);
+    const double d = a[col][col];
+    for (std::size_t row = col + 1; row < R; ++row) {
+      const double m = a[row][col] / d;
+      for (std::size_t j = col; j < R; ++j) a[row][j] -= m * a[col][j];
+      b[row] -= m * b[col];
+    }
+  }
+  Factor<Rank> x{};
+  for (std::size_t row = R; row-- > 0;) {
+    double s = b[row];
+    for (std::size_t j = row + 1; j < R; ++j) s -= a[row][j] * x[j];
+    x[row] = s / a[row][row];
+  }
+  return x;
+}
+
+template <int Rank>
+void expect_ridge_matches_reference(std::uint64_t seed) {
+  Rng rng(seed);
+  for (int trial = 0; trial < 200; ++trial) {
+    FactorTable<Rank> others(40);
+    for (auto& f : others)
+      for (double& v : f) v = rng.normal(0.0, 1.0 + trial % 3);
+    std::vector<std::pair<std::uint32_t, float>> obs;
+    const auto count = rng.uniform_u64(60);
+    for (std::uint64_t k = 0; k < count; ++k)
+      obs.emplace_back(static_cast<std::uint32_t>(rng.uniform_u64(40)),
+                       static_cast<float>(rng.uniform(1.0, 5.0)));
+    const double ridge = trial % 2 == 0 ? 0.1 : 1e-9;
+    const Factor<Rank> got = solve_ridge<Rank>(obs, others, ridge);
+    const Factor<Rank> want = reference_solve_ridge<Rank>(obs, others, ridge);
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), sizeof got), 0)
+        << "rank " << Rank << " trial " << trial;
+  }
+}
+
+TEST(Ridge, UpperTriangleAccumulationIsBitwiseExact) {
+  expect_ridge_matches_reference<2>(101);
+  expect_ridge_matches_reference<3>(102);
+  expect_ridge_matches_reference<8>(103);
 }
 
 // --- decision tree -------------------------------------------------------------
@@ -208,6 +279,67 @@ TEST(NaiveBayes, RejectsDegenerateDimensions) {
   std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>> bad = {
       {{0, "w9"}, 1}};
   EXPECT_THROW(build_naive_bayes(bad, {}, 1, 1, 5), tsx::Error);
+}
+
+// The pre-hoist classifier, kept as the reference: it parses every token
+// once per class.
+std::size_t reference_rank_of(const std::string& word) {
+  TSX_CHECK(!word.empty() && word[0] == 'w', "words must be 'w<rank>'");
+  return static_cast<std::size_t>(
+      std::strtoull(word.c_str() + 1, nullptr, 10));
+}
+
+int reference_classify(const NaiveBayesModel& model,
+                       const std::vector<std::string>& tokens) {
+  int best = 0;
+  double best_score = -1e300;
+  for (int c = 0; c < model.classes(); ++c) {
+    double score = model.log_prior[static_cast<std::size_t>(c)];
+    const auto& row = model.log_likelihood[static_cast<std::size_t>(c)];
+    for (const auto& t : tokens) score += row[reference_rank_of(t)];
+    if (score > best_score) {
+      best_score = score;
+      best = c;
+    }
+  }
+  return best;
+}
+
+TEST(NaiveBayes, ClassifyMatchesPerClassParsingReference) {
+  Rng rng(17);
+  for (int trial = 0; trial < 50; ++trial) {
+    // Random model; coarse log-likelihoods make exact score ties common, so
+    // the first-best tie rule is exercised too.
+    NaiveBayesModel model;
+    model.vocabulary = 1 + rng.uniform_u64(300);
+    const auto classes = 1 + rng.uniform_u64(12);
+    for (std::uint64_t c = 0; c < classes; ++c) {
+      model.log_prior.push_back(-static_cast<double>(rng.uniform_u64(4)));
+      std::vector<double> row(model.vocabulary);
+      for (double& v : row)
+        v = trial % 2 == 0 ? -static_cast<double>(rng.uniform_u64(3))
+                           : std::log(rng.uniform(1e-6, 1.0));
+      model.log_likelihood.push_back(std::move(row));
+    }
+    for (int doc = 0; doc < 40; ++doc) {
+      std::vector<std::string> tokens(rng.uniform_u64(50));
+      for (auto& t : tokens)
+        t = (rng.bernoulli(0.1) ? "w0" : "w") +
+            std::to_string(rng.uniform_u64(model.vocabulary));
+      ASSERT_EQ(classify(model, tokens), reference_classify(model, tokens))
+          << "trial " << trial << " doc " << doc;
+    }
+  }
+}
+
+TEST(NaiveBayes, ClassifyRejectsMalformedTokens) {
+  std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>> counts =
+      {{{0, "w0"}, 3}, {{1, "w1"}, 3}};
+  std::vector<std::pair<int, std::uint64_t>> docs = {{0, 1}, {1, 1}};
+  const NaiveBayesModel model = build_naive_bayes(counts, docs, 2, 2, 2);
+  EXPECT_THROW(classify(model, {"w0", "x5"}), tsx::Error);
+  EXPECT_THROW(classify(model, {""}), tsx::Error);
+  EXPECT_EQ(classify(model, {"w1"}), 1);
 }
 
 }  // namespace

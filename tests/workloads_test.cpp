@@ -8,6 +8,7 @@
 #include "core/error.hpp"
 #include "dfs/dfs.hpp"
 #include "mem/machine.hpp"
+#include "runner/serialize.hpp"
 #include "sim/simulator.hpp"
 #include "spark/context.hpp"
 #include "workloads/apps.hpp"
@@ -212,6 +213,58 @@ TEST(Runner, ExecutorGridConfigApplies) {
   cfg.cores_per_executor = 10;
   const RunResult r = run_workload(cfg);
   EXPECT_TRUE(r.valid);
+}
+
+// --- golden outputs -------------------------------------------------------------
+//
+// FNV-1a of the serialized RunResult for a fixed set of runs: one per app at
+// tiny scale on DRAM, plus the two heaviest ML kernels (bayes small, lda
+// large) on DRAM and NVM. Host-speed changes must leave every byte alone; a
+// deliberate model change updates these values and says so in CHANGES.md.
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct GoldenRun {
+  App app;
+  ScaleId scale;
+  mem::TierId tier;
+  std::uint64_t json_fnv1a;
+};
+
+TEST(Runner, GoldenOutputsAreByteStable) {
+  const GoldenRun golden[] = {
+      {App::kSort, ScaleId::kTiny, mem::TierId::kTier0, 0xe6bc1bc11193856dULL},
+      {App::kRepartition, ScaleId::kTiny, mem::TierId::kTier0,
+       0x2e9ca3d7185b8c7dULL},
+      {App::kAls, ScaleId::kTiny, mem::TierId::kTier0, 0xbd17e6770f5597d3ULL},
+      {App::kBayes, ScaleId::kTiny, mem::TierId::kTier0,
+       0x2af296bffda01977ULL},
+      {App::kRf, ScaleId::kTiny, mem::TierId::kTier0, 0xfa0ccd46342559c7ULL},
+      {App::kLda, ScaleId::kTiny, mem::TierId::kTier0, 0xa02fd177108e3f33ULL},
+      {App::kPagerank, ScaleId::kTiny, mem::TierId::kTier0,
+       0xa2fdebd44cba2e79ULL},
+      {App::kBayes, ScaleId::kSmall, mem::TierId::kTier0,
+       0x48338332b1b71f5bULL},
+      {App::kBayes, ScaleId::kSmall, mem::TierId::kTier2,
+       0x9218dd41bdfe01bfULL},
+      {App::kLda, ScaleId::kLarge, mem::TierId::kTier0, 0xf838c9d90f54caa3ULL},
+      {App::kLda, ScaleId::kLarge, mem::TierId::kTier2, 0xd92b7b6375de3ae8ULL},
+  };
+  for (const GoldenRun& g : golden) {
+    RunConfig cfg;
+    cfg.app = g.app;
+    cfg.scale = g.scale;
+    cfg.tier = g.tier;
+    EXPECT_EQ(fnv1a(runner::to_json(run_workload(cfg))), g.json_fnv1a)
+        << cfg.describe();
+  }
 }
 
 }  // namespace

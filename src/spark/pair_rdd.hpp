@@ -121,6 +121,72 @@ class ShuffleFetchAccount {
   std::map<std::size_t, bool> peers_;
 };
 
+/// The combine phases' hash table: one insertion-ordered vector of (key,
+/// accumulator) entries, indexed by a power-of-two slot table probed
+/// linearly, so a new key costs no node allocation. Every caller sorts what
+/// it emits by key, and keys are unique, so the iteration order never
+/// reaches an output; the values each accumulator folds, and their order,
+/// are those of the input.
+template <typename K, typename C>
+class CombineTable {
+ public:
+  explicit CombineTable(std::size_t expected) {
+    std::size_t slots = 16;
+    while (slots < 2 * expected) slots *= 2;
+    resize_slots(slots);
+    entries_.reserve(expected);
+  }
+
+  /// Folds into `key`'s accumulator with `merge(acc)`, or appends
+  /// `create()` as the accumulator of a new key.
+  template <typename Create, typename Merge>
+  void upsert(const K& key, Create&& create, Merge&& merge) {
+    std::size_t i = slot_of(key);
+    for (std::uint32_t e; (e = slots_[i]) != kEmpty; i = (i + 1) & mask_) {
+      if (entries_[e].first == key) {
+        merge(entries_[e].second);
+        return;
+      }
+    }
+    slots_[i] = static_cast<std::uint32_t>(entries_.size());
+    entries_.emplace_back(key, create());
+    if (2 * entries_.size() > slots_.size()) {
+      resize_slots(2 * slots_.size());
+      for (std::size_t e = 0; e < entries_.size(); ++e) {
+        std::size_t j = slot_of(entries_[e].first);
+        while (slots_[j] != kEmpty) j = (j + 1) & mask_;
+        slots_[j] = static_cast<std::uint32_t>(e);
+      }
+    }
+  }
+
+  std::size_t size() const { return entries_.size(); }
+  std::vector<std::pair<K, C>>& entries() { return entries_; }
+
+ private:
+  static constexpr std::uint32_t kEmpty = 0xffffffffU;
+
+  void resize_slots(std::size_t slots) {
+    slots_.assign(slots, kEmpty);
+    mask_ = slots - 1;
+    shift_ = 64;
+    for (std::size_t n = slots; n > 1; n /= 2) --shift_;
+  }
+
+  /// Fibonacci hashing: the product's top bits pick the slot, so keys whose
+  /// hashes share low bits (identity hashes of strided ids) still spread.
+  std::size_t slot_of(const K& key) const {
+    const std::uint64_t h =
+        static_cast<std::uint64_t>(TsxHash<K>{}(key)) * 0x9e3779b97f4a7c15ULL;
+    return static_cast<std::size_t>(h >> shift_);
+  }
+
+  std::vector<std::pair<K, C>> entries_;
+  std::vector<std::uint32_t> slots_;
+  std::size_t mask_ = 0;
+  int shift_ = 0;
+};
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -263,15 +329,11 @@ class CombineShuffleDep final : public ShuffleDependencyBase {
     const CostModel& c = ctx.costs();
 
     // Map-side combine into a hash map: the latency-bound phase.
-    std::unordered_map<K, C, TsxHash<K>> combined;
-    combined.reserve(in.size());
-    for (const InRecord& r : in) {
-      const auto it = combined.find(r.first);
-      if (it == combined.end())
-        combined.emplace(r.first, combiner_.create(r.second));
-      else
-        combiner_.merge_value(it->second, r.second);
-    }
+    detail::CombineTable<K, C> combined(in.size());
+    for (const InRecord& r : in)
+      combined.upsert(
+          r.first, [&] { return combiner_.create(r.second); },
+          [&](C& acc) { combiner_.merge_value(acc, r.second); });
     const double n = static_cast<double>(in.size());
     ctx.charge_cpu_ns(n * (c.hash_cpu_ns + c.agg_cpu_ns));
     ctx.charge_dep_reads(n * c.hash_probe_dep_reads);
@@ -283,7 +345,7 @@ class CombineShuffleDep final : public ShuffleDependencyBase {
     for (auto& bucket : buckets)
       bucket.reserve(combined.size() / reduce_partitions_ + 1);
     double bytes = 0.0;
-    for (auto& [k, v] : combined) {
+    for (auto& [k, v] : combined.entries()) {
       const std::size_t r = partition_fn_(k) % reduce_partitions_;
       bytes += est_bytes(k) + est_bytes(v);
       buckets[r].emplace_back(k, std::move(v));
@@ -337,7 +399,7 @@ class CombinedShuffledRDD final : public RDD<std::pair<K, C>> {
     const std::size_t executors = this->context()->executors().size();
     const CostModel& c = ctx.costs();
 
-    std::unordered_map<K, C, TsxHash<K>> merged;
+    detail::CombineTable<K, C> merged(0);
     double records = 0.0;
     {
       detail::ShuffleFetchAccount fetch(
@@ -350,14 +412,12 @@ class CombinedShuffledRDD final : public RDD<std::pair<K, C>> {
             std::any_cast<const std::vector<OutRecord>&>(cell);
         fetch.add_bucket(m, static_cast<double>(bucket.size()),
                          store.bucket_size(dep_->shuffle_id(), m, part).b());
-        for (const OutRecord& r : bucket) {
-          records += 1.0;
-          const auto it = merged.find(r.first);
-          if (it == merged.end())
-            merged.emplace(r.first, r.second);
-          else
-            dep_->combiner().merge_combiners(it->second, r.second);
-        }
+        const auto& merge = dep_->combiner().merge_combiners;
+        for (const OutRecord& r : bucket)
+          merged.upsert(
+              r.first, [&] { return r.second; },
+              [&](C& acc) { merge(acc, r.second); });
+        records += static_cast<double>(bucket.size());
       }
     }
     ctx.charge_cpu_ns(records * (c.hash_cpu_ns + c.agg_cpu_ns));
@@ -365,9 +425,7 @@ class CombinedShuffledRDD final : public RDD<std::pair<K, C>> {
     ctx.charge_dep_writes(static_cast<double>(merged.size()) *
                           c.hash_insert_dep_writes);
 
-    std::vector<OutRecord> out;
-    out.reserve(merged.size());
-    for (auto& [k, v] : merged) out.emplace_back(k, std::move(v));
+    std::vector<OutRecord> out = std::move(merged.entries());
     std::sort(out.begin(), out.end(),
               [](const OutRecord& a, const OutRecord& b) {
                 return a.first < b.first;

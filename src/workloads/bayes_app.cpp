@@ -3,8 +3,6 @@
 // a class; training is the word-count aggregation pattern — flatMap to
 // ((class, word), 1), reduceByKey, plus per-class totals — followed by a
 // driver-side model build and a training-set accuracy check.
-#include <cmath>
-#include <cstdlib>
 #include <memory>
 
 #include "core/strings.hpp"
@@ -12,13 +10,13 @@
 #include "workloads/apps.hpp"
 #include "workloads/datagen.hpp"
 #include "workloads/ml/naive_bayes.hpp"
+#include "workloads/vocabulary.hpp"
 
 namespace tsx::workloads {
 
 namespace {
 
 constexpr std::size_t kTokensPerPage = 40;
-constexpr std::size_t kVocabulary = 8000;
 constexpr std::uint64_t kSamplePageCap = 3000;
 
 struct BayesScale {
@@ -35,14 +33,16 @@ BayesScale bayes_scale(ScaleId scale) {
   return {};
 }
 
+// Tokens are typed words: the engine charges and orders them as the strings
+// "w<rank>" while the host carries a rank.
 struct Page {
   int label = 0;
-  std::vector<std::string> tokens;
+  std::vector<Word> tokens;
 };
 
 double est_bytes(const Page& p) {
   double b = 4.0;
-  for (const auto& t : p.tokens) b += 8.0 + static_cast<double>(t.size());
+  for (const Word t : p.tokens) b += est_bytes(t);
   return b;
 }
 
@@ -78,7 +78,7 @@ AppOutcome run_bayes(spark::SparkContext& sc, ScaleId scale) {
             const std::uint64_t rank =
                 (sampler(rng) + static_cast<std::uint64_t>(page.label) * 37) %
                 kVocabulary;
-            page.tokens.push_back("w" + std::to_string(rank));
+            page.tokens.push_back(Word{static_cast<std::uint32_t>(rank)});
           }
           out.push_back(std::move(page));
         }
@@ -90,11 +90,10 @@ AppOutcome run_bayes(spark::SparkContext& sc, ScaleId scale) {
   auto class_word = flat_map_rdd(
       cached_pages,
       [](const Page& page) {
-        std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>>
-            out;
+        std::vector<std::pair<std::pair<int, Word>, std::uint64_t>> out;
         out.reserve(page.tokens.size());
-        for (const auto& t : page.tokens)
-          out.emplace_back(std::make_pair(page.label, t), 1ULL);
+        for (const Word t : page.tokens)
+          out.emplace_back(std::make_pair(page.label, t), std::uint64_t{1});
         return out;
       },
       "classWordPairs");
@@ -109,23 +108,19 @@ AppOutcome run_bayes(spark::SparkContext& sc, ScaleId scale) {
 
   // Per-class priors.
   auto labels = map_rdd(
-      cached_pages, [](const Page& p) { return std::make_pair(p.label, 1ULL); },
+      cached_pages,
+      [](const Page& p) { return std::make_pair(p.label, std::uint64_t{1}); },
       "labels");
   auto class_counts =
       reduce_by_key(std::move(labels),
                     [](std::uint64_t a, std::uint64_t b) { return a + b; });
   spark::JobMetrics jm_priors;
-  const auto priors_raw = collect(class_counts, &jm_priors);
+  const auto priors = collect(class_counts, &jm_priors);
   outcome.jobs.push_back(jm_priors);
 
   // Driver-side model: log priors + Laplace-smoothed log likelihoods.
-  // (The RDD literals are unsigned long long; normalize to uint64_t.)
-  const std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>>
-      counted_u64(counted.begin(), counted.end());
-  const std::vector<std::pair<int, std::uint64_t>> priors_u64(
-      priors_raw.begin(), priors_raw.end());
   auto model = std::make_shared<ml::NaiveBayesModel>(ml::build_naive_bayes(
-      counted_u64, priors_u64, classes, sample_pages, kVocabulary));
+      counted, priors, classes, sample_pages, kVocabulary));
 
   // Training-set accuracy via a classify job.
   auto correct_flags = map_rdd(

@@ -87,14 +87,15 @@ AppOutcome run_lda(spark::SparkContext& sc, ScaleId scale) {
   const std::size_t vocab = dims.vocabulary;
   const int topics = dims.topics;
 
+  // One in-band word sampler per run, shared by every partition's generator.
+  auto in_band = std::make_shared<const ZipfSampler>(vocab / 4, 1.05);
   auto docs = cache_rdd(generate_rdd<Doc>(
-      sc, "ldaDocs", parts, [sample_docs, parts, vocab](std::size_t p,
-                                                        Rng& rng) {
+      sc, "ldaDocs", parts,
+      [sample_docs, parts, vocab, in_band](std::size_t p, Rng& rng) {
         // Ground-truth topics: each doc draws one dominant topic whose
         // vocabulary occupies a contiguous band — recoverable structure.
         const std::size_t lo = p * sample_docs / parts;
         const std::size_t hi = (p + 1) * sample_docs / parts;
-        const ZipfSampler in_band(vocab / 4, 1.05);
         std::vector<Doc> out;
         out.reserve(hi - lo);
         for (std::size_t d = lo; d < hi; ++d) {
@@ -102,7 +103,7 @@ AppOutcome run_lda(spark::SparkContext& sc, ScaleId scale) {
           Doc doc;
           doc.reserve(kTokensPerDoc);
           for (std::size_t t = 0; t < kTokensPerDoc; ++t) {
-            const std::uint64_t base = in_band(rng);
+            const std::uint64_t base = (*in_band)(rng);
             const bool stray = rng.bernoulli(0.15);
             const std::uint64_t chosen_band =
                 stray ? rng.uniform_u64(4) : band;

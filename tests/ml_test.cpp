@@ -5,7 +5,6 @@
 
 #include <array>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -241,65 +240,64 @@ TEST(DecisionTree, SizerHooks) {
 
 // --- naive Bayes ------------------------------------------------------------------
 
+using ClassWordCounts =
+    std::vector<std::pair<std::pair<int, Word>, std::uint64_t>>;
+
 TEST(NaiveBayes, ClassifiesSeparableVocabulary) {
   // Class 0 uses w0/w1, class 1 uses w2/w3.
-  std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>> counts =
-      {{{0, "w0"}, 50}, {{0, "w1"}, 50}, {{1, "w2"}, 50}, {{1, "w3"}, 50}};
+  const ClassWordCounts counts = {{{0, Word{0}}, 50},
+                                  {{0, Word{1}}, 50},
+                                  {{1, Word{2}}, 50},
+                                  {{1, Word{3}}, 50}};
   std::vector<std::pair<int, std::uint64_t>> docs = {{0, 10}, {1, 10}};
   const NaiveBayesModel model = build_naive_bayes(counts, docs, 2, 20, 4);
-  EXPECT_EQ(classify(model, {"w0", "w1", "w0"}), 0);
-  EXPECT_EQ(classify(model, {"w2", "w3"}), 1);
+  EXPECT_EQ(classify(model, {Word{0}, Word{1}, Word{0}}), 0);
+  EXPECT_EQ(classify(model, {Word{2}, Word{3}}), 1);
 }
 
 TEST(NaiveBayes, PriorsBreakTies) {
   // Symmetric likelihoods; class 1 has 9x the documents.
-  std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>> counts =
-      {{{0, "w0"}, 10}, {{1, "w0"}, 10}};
+  const ClassWordCounts counts = {{{0, Word{0}}, 10}, {{1, Word{0}}, 10}};
   std::vector<std::pair<int, std::uint64_t>> docs = {{0, 1}, {1, 9}};
   const NaiveBayesModel model = build_naive_bayes(counts, docs, 2, 10, 1);
-  EXPECT_EQ(classify(model, {"w0"}), 1);
+  EXPECT_EQ(classify(model, {Word{0}}), 1);
 }
 
 TEST(NaiveBayes, SmoothingHandlesUnseenWords) {
-  std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>> counts =
-      {{{0, "w0"}, 100}, {{1, "w1"}, 100}};
+  const ClassWordCounts counts = {{{0, Word{0}}, 100}, {{1, Word{1}}, 100}};
   std::vector<std::pair<int, std::uint64_t>> docs = {{0, 5}, {1, 5}};
   const NaiveBayesModel model = build_naive_bayes(counts, docs, 2, 10, 3);
   // w2 was never seen: likelihoods are smoothed, not -inf; classification
   // still works through the informative token.
-  EXPECT_EQ(classify(model, {"w2", "w0"}), 0);
+  EXPECT_EQ(classify(model, {Word{2}, Word{0}}), 0);
+  ASSERT_EQ(model.log_likelihood.size(), 3u * 2u);
   for (int c = 0; c < 2; ++c)
-    EXPECT_TRUE(std::isfinite(model.log_likelihood[static_cast<std::size_t>(
-        c)][2]));
+    EXPECT_TRUE(std::isfinite(
+        model.log_likelihood[2 * 2 + static_cast<std::size_t>(c)]));
 }
 
 TEST(NaiveBayes, RejectsDegenerateDimensions) {
   EXPECT_THROW(build_naive_bayes({}, {}, 0, 10, 5), tsx::Error);
   EXPECT_THROW(build_naive_bayes({}, {}, 2, 0, 5), tsx::Error);
-  std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>> bad = {
-      {{0, "w9"}, 1}};
+  EXPECT_THROW(build_naive_bayes({}, {}, 2, 10, 0), tsx::Error);
+  const ClassWordCounts bad = {{{0, Word{9}}, 1}};
   EXPECT_THROW(build_naive_bayes(bad, {}, 1, 1, 5), tsx::Error);
 }
 
-// The pre-hoist classifier, kept as the reference: it parses every token
-// once per class.
-std::size_t reference_rank_of(const std::string& word) {
-  TSX_CHECK(!word.empty() && word[0] == 'w', "words must be 'w<rank>'");
-  return static_cast<std::size_t>(
-      std::strtoull(word.c_str() + 1, nullptr, 10));
-}
-
+// The reference classifier sums class-major: one class at a time, over every
+// token, as the class x rank table did.
 int reference_classify(const NaiveBayesModel& model,
-                       const std::vector<std::string>& tokens) {
+                       const std::vector<Word>& tokens) {
+  const auto n_classes = static_cast<std::size_t>(model.classes());
   int best = 0;
   double best_score = -1e300;
-  for (int c = 0; c < model.classes(); ++c) {
-    double score = model.log_prior[static_cast<std::size_t>(c)];
-    const auto& row = model.log_likelihood[static_cast<std::size_t>(c)];
-    for (const auto& t : tokens) score += row[reference_rank_of(t)];
+  for (std::size_t c = 0; c < n_classes; ++c) {
+    double score = model.log_prior[c];
+    for (const Word t : tokens)
+      score += model.log_likelihood[t.rank * n_classes + c];
     if (score > best_score) {
       best_score = score;
-      best = c;
+      best = static_cast<int>(c);
     }
   }
   return best;
@@ -313,19 +311,17 @@ TEST(NaiveBayes, ClassifyMatchesPerClassParsingReference) {
     NaiveBayesModel model;
     model.vocabulary = 1 + rng.uniform_u64(300);
     const auto classes = 1 + rng.uniform_u64(12);
-    for (std::uint64_t c = 0; c < classes; ++c) {
+    for (std::uint64_t c = 0; c < classes; ++c)
       model.log_prior.push_back(-static_cast<double>(rng.uniform_u64(4)));
-      std::vector<double> row(model.vocabulary);
-      for (double& v : row)
-        v = trial % 2 == 0 ? -static_cast<double>(rng.uniform_u64(3))
-                           : std::log(rng.uniform(1e-6, 1.0));
-      model.log_likelihood.push_back(std::move(row));
-    }
+    model.log_likelihood.resize(model.vocabulary * classes);
+    for (double& v : model.log_likelihood)
+      v = trial % 2 == 0 ? -static_cast<double>(rng.uniform_u64(3))
+                         : std::log(rng.uniform(1e-6, 1.0));
     for (int doc = 0; doc < 40; ++doc) {
-      std::vector<std::string> tokens(rng.uniform_u64(50));
-      for (auto& t : tokens)
-        t = (rng.bernoulli(0.1) ? "w0" : "w") +
-            std::to_string(rng.uniform_u64(model.vocabulary));
+      std::vector<Word> tokens(rng.uniform_u64(50));
+      for (Word& t : tokens)
+        t.rank = static_cast<std::uint32_t>(
+            rng.bernoulli(0.1) ? 0 : rng.uniform_u64(model.vocabulary));
       ASSERT_EQ(classify(model, tokens), reference_classify(model, tokens))
           << "trial " << trial << " doc " << doc;
     }
@@ -333,13 +329,14 @@ TEST(NaiveBayes, ClassifyMatchesPerClassParsingReference) {
 }
 
 TEST(NaiveBayes, ClassifyRejectsMalformedTokens) {
-  std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>> counts =
-      {{{0, "w0"}, 3}, {{1, "w1"}, 3}};
+  const ClassWordCounts counts = {{{0, Word{0}}, 3}, {{1, Word{1}}, 3}};
   std::vector<std::pair<int, std::uint64_t>> docs = {{0, 1}, {1, 1}};
   const NaiveBayesModel model = build_naive_bayes(counts, docs, 2, 2, 2);
-  EXPECT_THROW(classify(model, {"w0", "x5"}), tsx::Error);
-  EXPECT_THROW(classify(model, {""}), tsx::Error);
-  EXPECT_EQ(classify(model, {"w1"}), 1);
+  EXPECT_THROW(classify(model, {Word{0}, Word{2}}), tsx::Error);
+  EXPECT_THROW(classify(model, {Word{kVocabulary}}), tsx::Error);
+  EXPECT_EQ(classify(model, {Word{1}}), 1);
+  const ClassWordCounts beyond = {{{0, Word{2}}, 1}};
+  EXPECT_THROW(build_naive_bayes(beyond, docs, 2, 2, 2), tsx::Error);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // variables.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <set>
 
@@ -171,6 +172,26 @@ TEST(AggregateByKey, DifferentAccumulatorType) {
   for (const auto& [key, acc] : out) {
     EXPECT_EQ(acc.first, 30u);
     EXPECT_DOUBLE_EQ(acc.second, 30.0);
+  }
+}
+
+TEST(CombineTable, FoldsInInputOrderAcrossRehashes) {
+  // Keys that share every low hash bit (TsxHash<u64> is the identity), from
+  // an empty table through several doublings.
+  detail::CombineTable<std::uint64_t, std::vector<int>> table(0);
+  std::map<std::uint64_t, std::vector<int>> reference;
+  for (int i = 0; i < 5000; ++i) {
+    const std::uint64_t key = static_cast<std::uint64_t>(i % 700) << 32;
+    table.upsert(
+        key, [&] { return std::vector<int>{i}; },
+        [&](std::vector<int>& acc) { acc.push_back(i); });
+    reference[key].push_back(i);
+  }
+  ASSERT_EQ(table.size(), reference.size());
+  for (std::size_t e = 0; e < table.size(); ++e) {
+    const auto& [key, folded] = table.entries()[e];
+    EXPECT_EQ(key, static_cast<std::uint64_t>(e) << 32);  // first-seen order
+    EXPECT_EQ(folded, reference.at(key));
   }
 }
 

@@ -3,7 +3,10 @@
 // determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <set>
+#include <string>
 
 #include "core/error.hpp"
 #include "dfs/dfs.hpp"
@@ -11,10 +14,13 @@
 #include "runner/serialize.hpp"
 #include "sim/simulator.hpp"
 #include "spark/context.hpp"
+#include "spark/pair_rdd.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/datagen.hpp"
+#include "workloads/ml/naive_bayes.hpp"
 #include "workloads/runner.hpp"
 #include "workloads/scales.hpp"
+#include "workloads/vocabulary.hpp"
 
 namespace tsx::workloads {
 namespace {
@@ -114,6 +120,201 @@ TEST(Datagen, DocumentsUseZipfVocabulary) {
   for (const auto& w : doc)
     if (w == "w0" || w == "w1" || w == "w2") ++head;
   EXPECT_GT(head, 25u);  // head words dominate
+}
+
+// --- typed vocabulary tokens ------------------------------------------------------
+
+std::string word_string(std::uint32_t rank) {
+  return "w" + std::to_string(rank);
+}
+
+TEST(Vocabulary, HashAndBytesMatchTheStrings) {
+  for (std::uint32_t r = 0; r < kVocabulary; ++r) {
+    const std::string s = word_string(r);
+    const std::size_t h = std::hash<std::string>{}(s);
+    ASSERT_EQ(vocabulary()[r].hash, h) << s;
+    ASSERT_EQ(spark::TsxHash<Word>{}(Word{r}), h) << s;
+    ASSERT_EQ(spark::TsxHash<std::string>{}(s), h) << s;
+    // Pair keys (the bayes shuffle key) combine to the same hash too.
+    for (const int cls : {0, 7, 99}) {
+      using TypedKey = std::pair<int, Word>;
+      using StringKey = std::pair<int, std::string>;
+      ASSERT_EQ(spark::TsxHash<TypedKey>{}(TypedKey(cls, Word{r})),
+                spark::TsxHash<StringKey>{}(StringKey(cls, s)))
+          << s;
+    }
+    ASSERT_EQ(est_bytes(Word{r}), spark::est_bytes(s)) << s;
+  }
+}
+
+TEST(Vocabulary, OrderMatchesStringOrder) {
+  const auto same_order = [](std::uint32_t a, std::uint32_t b) {
+    const std::string sa = word_string(a);
+    const std::string sb = word_string(b);
+    return (Word{a} < Word{b}) == (sa < sb) &&
+           (Word{b} < Word{a}) == (sb < sa) &&
+           (Word{a} == Word{b}) == (sa == sb);
+  };
+  for (std::uint32_t r = 0; r + 1 < kVocabulary; ++r)
+    ASSERT_TRUE(same_order(r, r + 1)) << r;
+  // Neighbours in string order ("w10" < "w100" < "w1000" < "w1001" ...).
+  std::vector<std::uint32_t> by_string(kVocabulary);
+  for (std::uint32_t r = 0; r < kVocabulary; ++r) by_string[r] = r;
+  std::sort(by_string.begin(), by_string.end(),
+            [](std::uint32_t a, std::uint32_t b) {
+              return word_string(a) < word_string(b);
+            });
+  for (std::size_t i = 0; i + 1 < by_string.size(); ++i)
+    ASSERT_TRUE(Word{by_string[i]} < Word{by_string[i + 1]}) << i;
+  EXPECT_TRUE(Word{10} < Word{2});
+  Rng rng(5);
+  for (int i = 0; i < 100000; ++i) {
+    const auto a = static_cast<std::uint32_t>(rng.uniform_u64(kVocabulary));
+    const auto b = static_cast<std::uint32_t>(rng.uniform_u64(kVocabulary));
+    ASSERT_TRUE(same_order(a, b)) << a << " vs " << b;
+  }
+}
+
+// The bayes workload's pages, as (label, tokens), drawn the way its
+// generator draws them.
+template <typename Token, typename MakeToken>
+std::vector<std::pair<int, std::vector<Token>>> bayes_pages(
+    std::uint64_t seed, std::size_t pages, int classes, MakeToken make) {
+  Rng rng(seed);
+  const ZipfSampler sampler(kVocabulary, 1.1);
+  std::vector<std::pair<int, std::vector<Token>>> out(pages);
+  for (auto& [label, tokens] : out) {
+    label = static_cast<int>(
+        rng.uniform_u64(static_cast<std::uint64_t>(classes)));
+    for (std::size_t t = 0; t < 40; ++t)
+      tokens.push_back(make(static_cast<std::uint32_t>(
+          (sampler(rng) + static_cast<std::uint64_t>(label) * 37) %
+          kVocabulary)));
+  }
+  return out;
+}
+
+// ((class, token), count) through the engine's combining shuffle, with the
+// virtual cost of the job.
+template <typename Token>
+std::vector<std::pair<std::pair<int, Token>, std::uint64_t>> aggregate(
+    const std::vector<std::pair<int, std::vector<Token>>>& pages,
+    spark::JobMetrics& jm) {
+  sim::Simulator simulator;
+  mem::MachineModel machine(simulator);
+  dfs::Dfs fs;
+  spark::SparkConf conf;
+  spark::SparkContext sc(machine, fs, conf, 42);
+  auto class_word = spark::flat_map_rdd(
+      spark::cache_rdd(spark::parallelize(sc, pages, 8)),
+      [](const std::pair<int, std::vector<Token>>& page) {
+        std::vector<std::pair<std::pair<int, Token>, std::uint64_t>> out;
+        for (const Token& t : page.second)
+          out.emplace_back(std::make_pair(page.first, t), std::uint64_t{1});
+        return out;
+      });
+  return spark::collect(
+      spark::reduce_by_key(
+          std::move(class_word),
+          [](std::uint64_t a, std::uint64_t b) { return a + b; }),
+      &jm);
+}
+
+// The string model builder and classifier the typed ones replaced: a class x
+// rank table filled from parsed "w<rank>" words.
+std::vector<std::vector<double>> string_log_likelihood(
+    const std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>>&
+        counts,
+    int classes, std::size_t vocabulary) {
+  std::vector<double> class_tokens(static_cast<std::size_t>(classes), 0.0);
+  for (const auto& [key, n] : counts)
+    class_tokens[static_cast<std::size_t>(key.first)] +=
+        static_cast<double>(n);
+  std::vector<std::vector<double>> ll(static_cast<std::size_t>(classes));
+  for (std::size_t c = 0; c < ll.size(); ++c)
+    ll[c].assign(vocabulary,
+                 std::log(1.0 / (class_tokens[c] +
+                                 static_cast<double>(vocabulary))));
+  for (const auto& [key, n] : counts) {
+    const auto c = static_cast<std::size_t>(key.first);
+    ll[c][std::stoul(key.second.substr(1))] =
+        std::log((static_cast<double>(n) + 1.0) /
+                 (class_tokens[c] + static_cast<double>(vocabulary)));
+  }
+  return ll;
+}
+
+int string_classify(const std::vector<double>& log_prior,
+                    const std::vector<std::vector<double>>& ll,
+                    const std::vector<std::string>& tokens) {
+  int best = 0;
+  double best_score = -1e300;
+  for (std::size_t c = 0; c < ll.size(); ++c) {
+    double score = log_prior[c];
+    for (const auto& t : tokens) score += ll[c][std::stoul(t.substr(1))];
+    if (score > best_score) {
+      best_score = score;
+      best = static_cast<int>(c);
+    }
+  }
+  return best;
+}
+
+TEST(Vocabulary, TypedBayesPipelineMatchesStringPipeline) {
+  for (const int classes : {10, 100}) {
+    const std::uint64_t seed = 900 + static_cast<std::uint64_t>(classes);
+    const std::size_t n_pages = 1500;
+    const auto typed = bayes_pages<Word>(
+        seed, n_pages, classes, [](std::uint32_t r) { return Word{r}; });
+    const auto strings = bayes_pages<std::string>(seed, n_pages, classes,
+                                                  word_string);
+
+    spark::JobMetrics typed_jm;
+    spark::JobMetrics string_jm;
+    const auto typed_counts = aggregate(typed, typed_jm);
+    const auto string_counts = aggregate(strings, string_jm);
+    // Same records in the same order: partitioning and key order agree.
+    ASSERT_EQ(typed_counts.size(), string_counts.size());
+    for (std::size_t i = 0; i < typed_counts.size(); ++i) {
+      ASSERT_EQ(typed_counts[i].first.first, string_counts[i].first.first);
+      ASSERT_EQ(word_string(typed_counts[i].first.second.rank),
+                string_counts[i].first.second)
+          << i;
+      ASSERT_EQ(typed_counts[i].second, string_counts[i].second);
+    }
+    // Same bytes charged: the simulated job is identical.
+    EXPECT_EQ(typed_jm.duration(), string_jm.duration());
+    EXPECT_EQ(typed_jm.num_tasks, string_jm.num_tasks);
+    EXPECT_EQ(typed_jm.total_cost.cpu_seconds,
+              string_jm.total_cost.cpu_seconds);
+    EXPECT_EQ(typed_jm.total_cost.stream_read(),
+              string_jm.total_cost.stream_read());
+    EXPECT_EQ(typed_jm.total_cost.stream_write(),
+              string_jm.total_cost.stream_write());
+    EXPECT_EQ(typed_jm.total_cost.dep_reads, string_jm.total_cost.dep_reads);
+    EXPECT_EQ(typed_jm.total_cost.dep_writes,
+              string_jm.total_cost.dep_writes);
+
+    std::vector<std::pair<int, std::uint64_t>> priors(
+        static_cast<std::size_t>(classes));
+    for (int c = 0; c < classes; ++c)
+      priors[static_cast<std::size_t>(c)] = {c, 0};
+    for (const auto& page : typed)
+      ++priors[static_cast<std::size_t>(page.first)].second;
+    const ml::NaiveBayesModel model = ml::build_naive_bayes(
+        typed_counts, priors, classes, n_pages, kVocabulary);
+    const auto ll = string_log_likelihood(string_counts, classes, kVocabulary);
+    for (std::size_t r = 0; r < kVocabulary; ++r)
+      for (std::size_t c = 0; c < ll.size(); ++c)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                      model.log_likelihood[r * ll.size() + c]),
+                  std::bit_cast<std::uint64_t>(ll[c][r]))
+            << "rank " << r << " class " << c;
+    for (std::size_t i = 0; i < n_pages; ++i)
+      ASSERT_EQ(ml::classify(model, typed[i].second),
+                string_classify(model.log_prior, ll, strings[i].second))
+          << "page " << i;
+  }
 }
 
 // --- per-app functional validation -----------------------------------------------

@@ -123,10 +123,10 @@ class ShuffleFetchAccount {
 
 /// The combine phases' hash table: one insertion-ordered vector of (key,
 /// accumulator) entries, indexed by a power-of-two slot table probed
-/// linearly, so a new key costs no node allocation. Every caller sorts what
-/// it emits by key, and keys are unique, so the iteration order never
-/// reaches an output; the values each accumulator folds, and their order,
-/// are those of the input.
+/// linearly, so a new key costs no node allocation. Keys are unique, and
+/// the reduce side sorts what it emits by key, so the iteration order never
+/// reaches an output (the map side writes its buckets in that order); the
+/// values each accumulator folds, and their order, are those of the input.
 template <typename K, typename C>
 class CombineTable {
  public:
@@ -340,7 +340,11 @@ class CombineShuffleDep final : public ShuffleDependencyBase {
     ctx.charge_dep_writes(static_cast<double>(combined.size()) *
                           c.hash_insert_dep_writes);
 
-    // Partition and write buckets.
+    // Partition and write buckets, in the table's insertion order. That
+    // order is deterministic, and it reaches no output: a bucket holds one
+    // record per key, the reduce side merges each key's records in map
+    // order and sorts by key before it emits, and the bucket sizes sum
+    // whole-number sizer bytes.
     std::vector<std::vector<OutRecord>> buckets(reduce_partitions_);
     for (auto& bucket : buckets)
       bucket.reserve(combined.size() / reduce_partitions_ + 1);
@@ -350,12 +354,6 @@ class CombineShuffleDep final : public ShuffleDependencyBase {
       bytes += est_bytes(k) + est_bytes(v);
       buckets[r].emplace_back(k, std::move(v));
     }
-    // Deterministic bucket order regardless of hash-map iteration.
-    for (auto& bucket : buckets)
-      std::sort(bucket.begin(), bucket.end(),
-                [](const OutRecord& a, const OutRecord& b) {
-                  return a.first < b.first;
-                });
     detail::charge_shuffle_write(
         ctx, static_cast<double>(combined.size()), bytes,
         typed_parent_->context()->conf().zero_copy_shuffle);

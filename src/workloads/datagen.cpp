@@ -11,26 +11,38 @@ constexpr char kKeyAlphabet[] = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
 constexpr std::size_t kKeyAlphabetSize = sizeof(kKeyAlphabet) - 1;
 }  // namespace
 
-std::string random_line(Rng& rng, std::size_t key_width, std::size_t width) {
-  TSX_CHECK(width >= key_width + 1, "line width too small for key");
-  // Size once and write in place: same characters from the same rng draws
-  // as the append loop, without a capacity check per character.
-  std::string line(width, '\0');
-  for (std::size_t i = 0; i < key_width; ++i)
-    line[i] = kKeyAlphabet[rng.uniform_u64(kKeyAlphabetSize)];
-  line[key_width] = ' ';
-  for (std::size_t i = key_width + 1; i < width; ++i)
-    line[i] = static_cast<char>('a' + rng.uniform_u64(26));
-  return line;
+std::vector<TextLine> random_text_lines(Rng& rng, std::size_t count) {
+  // Draw through a local copy: the character stores cannot alias its
+  // state, so it stays in registers. Written back at the end, so the caller
+  // sees the same stream position as one draw per character would leave.
+  Rng local = rng;
+  std::vector<TextLine> out(count);
+  for (TextLine& line : out) {
+    char* c = line.chars.data();
+    for (std::size_t i = 0; i < kTextKeyWidth; ++i)
+      c[i] = kKeyAlphabet[local.uniform_u64(kKeyAlphabetSize)];
+    c[kTextKeyWidth] = ' ';
+    for (std::size_t i = kTextKeyWidth + 1; i < kTextLineWidth; ++i)
+      c[i] = static_cast<char>('a' + local.uniform_u64(26));
+  }
+  rng = local;
+  return out;
 }
 
-std::vector<std::string> random_lines(Rng& rng, std::size_t count,
-                                      std::size_t width) {
-  std::vector<std::string> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    out.push_back(random_line(rng, 10, width));
-  return out;
+std::pair<LineKey, LineTail> split_key(const TextLine& line) {
+  std::pair<LineKey, LineTail> kv;
+  std::memcpy(kv.first.chars.data(), line.chars.data(), kTextKeyWidth);
+  std::memcpy(kv.second.chars.data(), line.chars.data() + kTextKeyWidth,
+              kTextLineWidth - kTextKeyWidth);
+  return kv;
+}
+
+std::string join_line(const std::pair<LineKey, LineTail>& kv) {
+  std::string line(kTextLineWidth, '\0');
+  std::memcpy(line.data(), kv.first.chars.data(), kTextKeyWidth);
+  std::memcpy(line.data() + kTextKeyWidth, kv.second.chars.data(),
+              kTextLineWidth - kTextKeyWidth);
+  return line;
 }
 
 std::string zipf_word(Rng& rng, const ZipfSampler& sampler) {

@@ -17,6 +17,7 @@
 #include "spark/pair_rdd.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/datagen.hpp"
+#include "workloads/ml/gibbs.hpp"
 
 namespace tsx::workloads {
 
@@ -44,34 +45,13 @@ LdaScale lda_scale(ScaleId scale) {
 using Doc = std::vector<std::uint32_t>;  // token word-ids
 using CountMatrix = std::vector<double>;  // topics x vocabulary, row-major
 
-// One iteration's Gibbs conditional, word-major: weight[w * topics + k] =
-// counts[k][w] / (topic k's total count), and total[w] = the sum of word
-// w's weights in topic order. Within an iteration both depend only on
-// (w, k), so the sweep's first task computes them from the broadcast counts
-// and every task of the sweep scans them per token.
-struct GibbsTable {
+// One iteration's Gibbs conditional. Within an iteration it depends only on
+// the broadcast counts, so the sweep's first task builds it and every task
+// of the sweep scans it per token.
+struct SharedGibbsTable {
   std::once_flag built;
-  std::vector<double> weight;  // vocabulary x topics, row-major
-  std::vector<double> total;   // per word
+  ml::GibbsTable table;
 };
-
-void build_gibbs_table(GibbsTable& table, const CountMatrix& counts,
-                       int topics, std::size_t vocab) {
-  const auto k_topics = static_cast<std::size_t>(topics);
-  std::vector<double> topic_totals(k_topics, 0.0);
-  for (std::size_t k = 0; k < k_topics; ++k)
-    for (std::size_t w = 0; w < vocab; ++w)
-      topic_totals[k] += counts[k * vocab + w];
-  table.weight.resize(vocab * k_topics);
-  table.total.assign(vocab, 0.0);
-  for (std::size_t w = 0; w < vocab; ++w) {
-    for (std::size_t k = 0; k < k_topics; ++k) {
-      const double weight = counts[k * vocab + w] / topic_totals[k];
-      table.weight[w * k_topics + k] = weight;
-      table.total[w] += weight;
-    }
-  }
-}
 
 }  // namespace
 
@@ -124,35 +104,26 @@ AppOutcome run_lda(spark::SparkContext& sc, ScaleId scale) {
     // Broadcast this iteration's topic-word counts (MLlib ships the topic
     // matrix the same way).
     auto bc = std::make_shared<Broadcast<CountMatrix>>(broadcast(*global));
-    auto table = std::make_shared<GibbsTable>();
+    auto shared = std::make_shared<SharedGibbsTable>();
     auto deltas = map_partitions_rdd<CountMatrix>(
         docs,
-        [bc, table, topics, vocab](std::vector<Doc> part_docs,
-                                   TaskContext& ctx) {
+        [bc, shared, topics, vocab](std::vector<Doc> part_docs,
+                                    TaskContext& ctx) {
           const CountMatrix& counts = bc->value(ctx);
-          std::call_once(table->built, [&] {
-            build_gibbs_table(*table, counts, topics, vocab);
+          std::call_once(shared->built, [&] {
+            shared->table = ml::build_gibbs_table(counts, topics, vocab);
           });
           CountMatrix delta(static_cast<std::size_t>(topics) * vocab, 0.0);
           Rng rng = ctx.rng().fork(0x1da);
           double tokens = 0.0;
+          std::vector<std::uint32_t> chosen;
           for (const Doc& doc : part_docs) {
-            for (const std::uint32_t w : doc) {
-              tokens += 1.0;
-              const double* weights =
-                  &table->weight[static_cast<std::size_t>(w) *
-                                 static_cast<std::size_t>(topics)];
-              double u = rng.uniform() * table->total[w];
-              int chosen = topics - 1;
-              for (int k = 0; k < topics; ++k) {
-                u -= weights[k];
-                if (u <= 0.0) {
-                  chosen = k;
-                  break;
-                }
-              }
-              delta[static_cast<std::size_t>(chosen) * vocab + w] += 1.0;
-            }
+            chosen.resize(doc.size());
+            ml::sample_topics(shared->table, doc, rng, chosen);
+            for (std::size_t t = 0; t < doc.size(); ++t)
+              delta[static_cast<std::size_t>(chosen[t]) * vocab + doc[t]] +=
+                  1.0;
+            tokens += static_cast<double>(doc.size());
           }
           // Gibbs conditional: the per-token topic column is short and
           // mostly cache-resident (2 scattered reads per token), but every

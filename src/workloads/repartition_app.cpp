@@ -11,7 +11,6 @@ namespace tsx::workloads {
 
 namespace {
 
-constexpr std::size_t kLineWidth = 100;
 constexpr std::uint64_t kSampleCapBytes = 2 * 1024 * 1024;
 
 std::uint64_t nominal_bytes(ScaleId scale) {
@@ -33,16 +32,16 @@ AppOutcome run_repartition(spark::SparkContext& sc, ScaleId scale) {
   sc.set_cost_multiplier(plan.multiplier);
 
   const std::size_t sample_lines =
-      std::max<std::size_t>(plan.sample / kLineWidth, 8);
+      std::max<std::size_t>(plan.sample / kTextLineWidth, 8);
   const std::size_t input_parts =
       std::max<std::size_t>(1, std::min<std::size_t>(16, sample_lines / 4));
 
-  auto lines = generate_rdd<std::string>(
+  auto lines = generate_rdd<TextLine>(
       sc, "repartitionInput", input_parts,
       [sample_lines, input_parts](std::size_t p, Rng& rng) {
         const std::size_t lo = p * sample_lines / input_parts;
         const std::size_t hi = (p + 1) * sample_lines / input_parts;
-        return random_lines(rng, hi - lo, kLineWidth);
+        return random_text_lines(rng, hi - lo);
       });
 
   auto spread = repartition(
@@ -52,7 +51,8 @@ AppOutcome run_repartition(spark::SparkContext& sc, ScaleId scale) {
   AppOutcome outcome;
   spark::JobMetrics save_metrics;
   save_as_text_file(
-      spread, "/out/repartition", [](const std::string& s) { return s; },
+      spread, "/out/repartition",
+      [](const TextLine& line) { return std::string(line.view()); },
       &save_metrics);
   outcome.jobs.push_back(save_metrics);
 

@@ -3,14 +3,15 @@
 // shape — read from DFS, sortByKey with a sampled range partitioner (one
 // sampling job + one full shuffle), write back to DFS.
 //
-// Two execution paths share the shape: the row path (RDD of std::string,
-// sort_by_key over a 10-byte prefix) and, when the run enables columnar
-// execution, a vectorized port that scans the identical generated lines
-// into string-column chunks and total-orders them through the query
-// layer's range-partitioned sort exchange. Both end in the same DFS file
-// and the same self-check.
+// Two execution paths share the shape: the row path (RDD of TextLine
+// records, sort_by_key over their 10-byte LineKey prefix) and, when the run
+// enables columnar execution, a vectorized port that scans the identical
+// generated lines into string-column chunks and total-orders them through
+// the query layer's range-partitioned sort exchange. Both end in the same
+// DFS file and the same self-check.
 #include <algorithm>
 #include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,8 +26,6 @@ namespace tsx::workloads {
 
 namespace {
 
-constexpr std::size_t kLineWidth = 100;
-constexpr std::size_t kSortKeyWidth = 10;
 constexpr std::uint64_t kSampleCapBytes = 2 * 1024 * 1024;
 
 std::uint64_t nominal_bytes(ScaleId scale) {
@@ -40,15 +39,16 @@ std::uint64_t nominal_bytes(ScaleId scale) {
 }
 
 // Self-check shared by both paths: output must be globally ordered by the
-// key prefix and complete.
+// key prefix and hold exactly the input's line count.
 void check_sort_output(spark::SparkContext& sc, std::size_t sample_lines,
                        AppOutcome& outcome) {
   const std::vector<std::string> out = sc.dfs().read_text("/out/sort");
   bool ordered = true;
   for (std::size_t i = 1; i < out.size(); ++i)
-    if (out[i - 1].substr(0, kSortKeyWidth) > out[i].substr(0, kSortKeyWidth))
+    if (std::string_view(out[i - 1]).substr(0, kTextKeyWidth) >
+        std::string_view(out[i]).substr(0, kTextKeyWidth))
       ordered = false;
-  const bool complete = out.size() >= sample_lines;
+  const bool complete = out.size() == sample_lines;
   outcome.valid = ordered && complete;
   outcome.validation = strfmt("%zu lines, ordered=%d complete=%d", out.size(),
                               ordered ? 1 : 0, complete ? 1 : 0);
@@ -68,15 +68,14 @@ AppOutcome run_sort_columnar(columnar::Runtime& rt, spark::SparkContext& sc,
     const std::size_t hi = (p + 1) * sample_lines / input_parts;
     // Identical line data to the row path's generate_rdd: same rng stream,
     // same per-partition slice.
-    const std::vector<std::string> raw =
-        random_lines(rng, hi - lo, kLineWidth);
+    const std::vector<TextLine> raw = random_text_lines(rng, hi - lo);
     std::vector<columnar::Chunk> chunks;
     chunks.reserve(raw.size() / batch_rows + 1);
     for (std::size_t at = 0; at < raw.size(); at += batch_rows) {
       const std::size_t n = std::min(batch_rows, raw.size() - at);
       columnar::StrBuilder lines;
-      lines.reserve(n, n * kLineWidth);
-      for (std::size_t i = 0; i < n; ++i) lines.append(raw[at + i]);
+      lines.reserve(n, n * kTextLineWidth);
+      for (std::size_t i = 0; i < n; ++i) lines.append(raw[at + i].view());
       columnar::Chunk chunk;
       chunk.rows = n;
       chunk.cols.push_back(lines.seal());
@@ -87,7 +86,7 @@ AppOutcome run_sort_columnar(columnar::Runtime& rt, spark::SparkContext& sc,
 
   auto query =
       columnar::Query::scan(std::move(spec))
-          .sort_by_bytes(0, kSortKeyWidth)
+          .sort_by_bytes(0, kTextKeyWidth)
           .sink("saveText",
                 [&sc](std::size_t, const std::vector<columnar::Chunk>& chunks,
                       columnar::KernelCtx& kc) {
@@ -136,7 +135,7 @@ AppOutcome run_sort(spark::SparkContext& sc, ScaleId scale) {
   sc.set_cost_multiplier(plan.multiplier);
 
   const std::size_t sample_lines = std::max<std::size_t>(
-      plan.sample / kLineWidth, 8);
+      plan.sample / kTextLineWidth, 8);
   // Input partitions reflect the *nominal* layout (one per 128 MiB block).
   const auto input_parts = std::max<std::size_t>(
       1, std::min<std::size_t>(
@@ -145,31 +144,21 @@ AppOutcome run_sort(spark::SparkContext& sc, ScaleId scale) {
   if (columnar::Runtime* rt = columnar::Runtime::of(sc))
     return run_sort_columnar(*rt, sc, sample_lines, input_parts);
 
-  auto lines = generate_rdd<std::string>(
+  auto lines = generate_rdd<TextLine>(
       sc, "sortInput", input_parts,
       [sample_lines, input_parts](std::size_t p, Rng& rng) {
         const std::size_t lo = p * sample_lines / input_parts;
         const std::size_t hi = (p + 1) * sample_lines / input_parts;
-        return random_lines(rng, hi - lo, kLineWidth);
+        return random_text_lines(rng, hi - lo);
       });
 
-  auto keyed = map_rdd(
-      std::move(lines),
-      [](const std::string& line) {
-        return std::make_pair(line.substr(0, 10), line.substr(10));
-      },
-      "keyByPrefix");
+  auto keyed = map_rdd(std::move(lines), split_key, "keyByPrefix");
 
   auto sorted = sort_by_key(std::move(keyed));
 
   AppOutcome outcome;
   spark::JobMetrics save_metrics;
-  save_as_text_file(
-      sorted, "/out/sort",
-      [](const std::pair<std::string, std::string>& kv) {
-        return kv.first + kv.second;
-      },
-      &save_metrics);
+  save_as_text_file(sorted, "/out/sort", join_line, &save_metrics);
   outcome.jobs.push_back(save_metrics);
 
   check_sort_output(sc, sample_lines, outcome);

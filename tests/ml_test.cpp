@@ -1,6 +1,6 @@
 // Unit tests for the ML kernels the workloads are built from: the ridge
-// solver behind ALS, the CART tree behind the random forest and the naive
-// Bayes model builder/classifier.
+// solver behind ALS, the CART tree behind the random forest, the naive
+// Bayes model builder/classifier and the LDA Gibbs topic scan.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,6 +13,7 @@
 #include "core/error.hpp"
 #include "core/rng.hpp"
 #include "workloads/ml/decision_tree.hpp"
+#include "workloads/ml/gibbs.hpp"
 #include "workloads/ml/naive_bayes.hpp"
 #include "workloads/ml/ridge.hpp"
 
@@ -337,6 +338,140 @@ TEST(NaiveBayes, ClassifyRejectsMalformedTokens) {
   EXPECT_EQ(classify(model, {Word{1}}), 1);
   const ClassWordCounts beyond = {{{0, Word{2}}, 1}};
   EXPECT_THROW(build_naive_bayes(beyond, docs, 2, 2, 2), tsx::Error);
+}
+
+// --- LDA Gibbs topic scan -------------------------------------------------------
+
+// The early-exit scan the lane scan replaced, kept here as the reference it
+// must match: one draw per token, first topic whose remainder is <= 0.
+std::uint32_t reference_topic(const GibbsTable& table, std::uint32_t w,
+                              Rng& rng) {
+  const int topics = table.topics;
+  const double* weights =
+      &table.weight[static_cast<std::size_t>(w) *
+                    static_cast<std::size_t>(topics)];
+  double u = rng.uniform() * table.total[w];
+  int chosen = topics - 1;
+  for (int k = 0; k < topics; ++k) {
+    u -= weights[k];
+    if (u <= 0.0) {
+      chosen = k;
+      break;
+    }
+  }
+  return static_cast<std::uint32_t>(chosen);
+}
+
+// Samples `words` with both scans from equal rng states; the topics and the
+// rng states afterwards must be equal.
+void expect_scans_agree(const GibbsTable& table,
+                        const std::vector<std::uint32_t>& words, Rng& rng) {
+  Rng reference_rng = rng;
+  std::vector<std::uint32_t> chosen(words.size());
+  sample_topics(table, words, rng, chosen);
+  for (std::size_t t = 0; t < words.size(); ++t)
+    ASSERT_EQ(chosen[t], reference_topic(table, words[t], reference_rng))
+        << "topics " << table.topics << " token " << t << " of "
+        << words.size();
+  Rng probe = rng;
+  EXPECT_EQ(probe.next_u64(), reference_rng.next_u64());
+}
+
+TEST(Gibbs, LaneScanMatchesEarlyExitScan) {
+  Rng rng(23);
+  for (const int topics : {1, 2, 10, 30}) {
+    const std::size_t vocab = 40;
+    std::vector<double> counts(static_cast<std::size_t>(topics) * vocab);
+    for (int table_trial = 0; table_trial < 5; ++table_trial) {
+      // Positive counts spanning several orders of magnitude, so some
+      // columns are dominated by one topic and others are flat.
+      for (double& c : counts)
+        c = 0.1 + (rng.bernoulli(0.3) ? rng.uniform(0.0, 500.0)
+                                      : static_cast<double>(
+                                            rng.uniform_u64(4)));
+      const GibbsTable table = build_gibbs_table(counts, topics, vocab);
+      for (std::size_t length = 0; length <= 9; ++length) {
+        for (int doc = 0; doc < 20; ++doc) {
+          std::vector<std::uint32_t> words(length);
+          for (std::uint32_t& w : words)
+            w = static_cast<std::uint32_t>(rng.uniform_u64(vocab));
+          expect_scans_agree(table, words, rng);
+        }
+      }
+    }
+  }
+}
+
+TEST(Gibbs, BoundaryDrawsMatchEarlyExitScan) {
+  // Five tokens: one lane group plus a tail. Word t's table is built from
+  // token t's own draw u_t, read off a copy of the rng.
+  const std::size_t tokens = 5;
+  std::vector<std::uint32_t> words(tokens);
+  for (std::size_t t = 0; t < tokens; ++t)
+    words[t] = static_cast<std::uint32_t>(t);
+  Rng rng(31);
+  Rng peek = rng;
+  std::vector<double> u(tokens);
+  for (double& x : u) {
+    x = peek.uniform();
+    ASSERT_GT(x, 0.01);
+  }
+
+  // u lands exactly on a partial sum: weights u/2, u/2, 1 with total 1, so
+  // the remainder is exactly 0 after topic 1, which is chosen.
+  GibbsTable on_sum;
+  on_sum.topics = 3;
+  for (std::size_t t = 0; t < tokens; ++t) {
+    on_sum.weight.insert(on_sum.weight.end(), {u[t] / 2, u[t] - u[t] / 2, 1.0});
+    on_sum.total.push_back(1.0);
+  }
+  {
+    Rng lanes = rng;
+    std::vector<std::uint32_t> chosen(tokens);
+    sample_topics(on_sum, words, lanes, chosen);
+    for (const std::uint32_t k : chosen) EXPECT_EQ(k, 1u);
+    Rng check = rng;
+    expect_scans_agree(on_sum, words, check);
+  }
+
+  // u * total lies past the last partial sum: the remainder stays > 0 over
+  // every topic, and the last topic is chosen.
+  for (const int topics : {1, 4, 10}) {
+    GibbsTable past;
+    past.topics = topics;
+    for (std::size_t t = 0; t < tokens; ++t) {
+      for (int k = 0; k < topics; ++k) past.weight.push_back(1e-3);
+      past.total.push_back(1.0);
+    }
+    Rng lanes = rng;
+    std::vector<std::uint32_t> chosen(tokens);
+    sample_topics(past, words, lanes, chosen);
+    for (const std::uint32_t k : chosen)
+      EXPECT_EQ(k, static_cast<std::uint32_t>(topics - 1));
+    Rng check = rng;
+    expect_scans_agree(past, words, check);
+  }
+}
+
+TEST(Gibbs, TableMatchesCountsAndRejectsNonPositiveWeights) {
+  const std::vector<double> counts = {1.0, 3.0, 0.5, 2.0, 2.0, 4.0};  // 2x3
+  const GibbsTable table = build_gibbs_table(counts, 2, 3);
+  ASSERT_EQ(table.weight.size(), 6u);
+  for (std::size_t w = 0; w < 3; ++w) {
+    double total = 0.0;
+    for (std::size_t k = 0; k < 2; ++k) {
+      const double expected = counts[k * 3 + w] / (k == 0 ? 4.5 : 8.0);
+      EXPECT_EQ(table.weight[w * 2 + k], expected);
+      total += expected;
+    }
+    EXPECT_EQ(table.total[w], total);
+  }
+  // A zero count gives a zero weight; an empty topic gives 0 / 0.
+  EXPECT_THROW(build_gibbs_table({1.0, 0.0, 1.0, 1.0}, 2, 2), tsx::Error);
+  EXPECT_THROW(build_gibbs_table({1.0, 1.0, 0.0, 0.0}, 2, 2), tsx::Error);
+  EXPECT_THROW(build_gibbs_table({1.0, -1.0, 3.0, 1.0}, 2, 2), tsx::Error);
+  EXPECT_THROW(build_gibbs_table({1.0, 1.0, 1.0}, 2, 2), tsx::Error);
+  EXPECT_THROW(build_gibbs_table({}, 0, 2), tsx::Error);
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 #include <bit>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/error.hpp"
 #include "dfs/dfs.hpp"
@@ -59,15 +62,107 @@ TEST(Apps, NamesRoundTripAndCategories) {
 
 TEST(Datagen, LinesHaveRequestedShape) {
   Rng rng(3);
-  const auto lines = random_lines(rng, 20, 100);
+  const std::vector<TextLine> lines = random_text_lines(rng, 20);
   ASSERT_EQ(lines.size(), 20u);
   std::set<std::string> keys;
-  for (const auto& line : lines) {
-    EXPECT_EQ(line.size(), 100u);
-    EXPECT_EQ(line[10], ' ');
-    keys.insert(line.substr(0, 10));
+  for (const TextLine& line : lines) {
+    const std::string_view text = line.view();
+    EXPECT_EQ(text.size(), 100u);
+    EXPECT_EQ(text[10], ' ');
+    keys.insert(std::string(text.substr(0, 10)));
   }
   EXPECT_GT(keys.size(), 18u);  // keys essentially unique
+}
+
+// The string generator the typed lines replaced, kept here as the reference
+// they must reproduce draw for draw.
+std::string reference_string_line(Rng& rng) {
+  static constexpr char kAlphabet[] = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+  std::string line(100, '\0');
+  for (std::size_t i = 0; i < 10; ++i)
+    line[i] = kAlphabet[rng.uniform_u64(sizeof(kAlphabet) - 1)];
+  line[10] = ' ';
+  for (std::size_t i = 11; i < 100; ++i)
+    line[i] = static_cast<char>('a' + rng.uniform_u64(26));
+  return line;
+}
+
+TEST(Datagen, TextLinesMatchStringLineDraws) {
+  for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 101ULL, 0xdeadbeefULL}) {
+    Rng typed_rng(seed);
+    Rng string_rng(seed);
+    const std::vector<TextLine> lines = random_text_lines(typed_rng, 1000);
+    ASSERT_EQ(lines.size(), 1000u);
+    for (const TextLine& line : lines) {
+      const std::string expected = reference_string_line(string_rng);
+      ASSERT_EQ(line.view(), expected) << "seed " << seed;
+      // The keyed form splits and rejoins to the same string.
+      const std::pair<LineKey, LineTail> kv = split_key(line);
+      EXPECT_EQ(kv.first.view(), expected.substr(0, 10));
+      EXPECT_EQ(kv.second.view(), expected.substr(10));
+      EXPECT_EQ(join_line(kv), expected);
+    }
+    EXPECT_EQ(typed_rng.next_u64(), string_rng.next_u64()) << "seed " << seed;
+  }
+  Rng empty_rng(9);
+  Rng untouched(9);
+  EXPECT_TRUE(random_text_lines(empty_rng, 0).empty());
+  EXPECT_EQ(empty_rng.next_u64(), untouched.next_u64());
+}
+
+TEST(Datagen, TextRecordSizesMatchStrings) {
+  using spark::est_bytes;
+  const std::string line(100, 'x');
+  Rng rng(11);
+  const TextLine typed = random_text_lines(rng, 1).front();
+  const std::pair<LineKey, LineTail> kv = split_key(typed);
+  EXPECT_EQ(est_bytes(typed), est_bytes(line));
+  EXPECT_EQ(est_bytes(typed), 108.0);
+  EXPECT_EQ(est_bytes(kv.first), est_bytes(line.substr(0, 10)));
+  EXPECT_EQ(est_bytes(kv.first), 18.0);
+  EXPECT_EQ(est_bytes(kv.second), est_bytes(line.substr(10)));
+  EXPECT_EQ(est_bytes(kv.second), 98.0);
+  EXPECT_EQ(est_bytes(kv),
+            est_bytes(std::make_pair(line.substr(0, 10), line.substr(10))));
+  EXPECT_EQ(est_bytes(kv), 116.0);
+  // Repartition keys each line with a u64 before its shuffle.
+  EXPECT_EQ(est_bytes(std::make_pair(std::uint64_t{3}, typed)),
+            est_bytes(std::make_pair(std::uint64_t{3}, line)));
+}
+
+TEST(Datagen, LineKeyOrderMatchesStringOrder) {
+  auto key_of = [](const std::string& s) {
+    LineKey k;
+    std::copy(s.begin(), s.end(), k.chars.begin());
+    return k;
+  };
+  auto expect_same_order = [&](const std::string& a, const std::string& b) {
+    const LineKey ka = key_of(a);
+    const LineKey kb = key_of(b);
+    EXPECT_EQ(ka < kb, a < b) << a << " vs " << b;
+    EXPECT_EQ(ka > kb, a > b) << a << " vs " << b;
+    EXPECT_EQ(!(ka < kb) && !(kb < ka), a == b) << a << " vs " << b;
+  };
+  // Random keys over a small alphabet that includes bytes above 0x7f (a
+  // negative signed char), so shared prefixes and the unsigned comparison
+  // both occur often.
+  static constexpr char kChars[] = {'A', 'B', '0', 'z', '\x80', '\xff'};
+  Rng rng(17);
+  auto random_key = [&] {
+    std::string s(10, ' ');
+    for (char& c : s) c = kChars[rng.uniform_u64(sizeof(kChars))];
+    return s;
+  };
+  for (int i = 0; i < 100000; ++i) {
+    const std::string a = random_key();
+    std::string b = random_key();
+    if (i % 4 == 0) b = a;                                  // equal keys
+    if (i % 4 == 1) b.replace(0, 1 + i % 9, a, 0, 1 + i % 9);  // shared prefix
+    expect_same_order(a, b);
+  }
+  expect_same_order("AAAAAAAAAA", "AAAAAAAAAB");
+  expect_same_order("ZZZZZZZZZ9", "ZZZZZZZZZA");
+  expect_same_order(std::string(10, '\x7f'), std::string(10, '\x80'));
 }
 
 TEST(Datagen, RatingsWithinDomain) {
@@ -457,6 +552,18 @@ TEST(Runner, GoldenOutputsAreByteStable) {
        0x9218dd41bdfe01bfULL},
       {App::kLda, ScaleId::kLarge, mem::TierId::kTier0, 0xf838c9d90f54caa3ULL},
       {App::kLda, ScaleId::kLarge, mem::TierId::kTier2, 0xd92b7b6375de3ae8ULL},
+      {App::kSort, ScaleId::kLarge, mem::TierId::kTier0,
+       0x071bf30fc72d2e1eULL},
+      {App::kSort, ScaleId::kLarge, mem::TierId::kTier2,
+       0xd960b2e4437b612cULL},
+      {App::kRepartition, ScaleId::kLarge, mem::TierId::kTier0,
+       0x0f92e997f3a15b74ULL},
+      {App::kRepartition, ScaleId::kLarge, mem::TierId::kTier2,
+       0x941e2b046b671f8cULL},
+      {App::kPagerank, ScaleId::kLarge, mem::TierId::kTier0,
+       0xfee31ede2516e6a9ULL},
+      {App::kPagerank, ScaleId::kLarge, mem::TierId::kTier2,
+       0x066b649ab747fa83ULL},
   };
   for (const GoldenRun& g : golden) {
     RunConfig cfg;
